@@ -18,6 +18,18 @@ from dataclasses import dataclass, fields, replace
 from typing import Dict, Tuple
 
 
+def require_solver_config(
+    config, owner: str, hint: str = "", keyword: str = "config="
+) -> None:
+    """Fail at construction unless ``config`` is a :class:`SolverConfig` (or
+    None, for the default), instead of with an AttributeError deep inside
+    the first solve."""
+    if config is not None and not isinstance(config, SolverConfig):
+        raise TypeError(
+            f"{owner}: {keyword} takes a SolverConfig, got {type(config).__name__}{hint}"
+        )
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """A named bundle of search-strategy parameters."""

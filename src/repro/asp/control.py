@@ -21,8 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.asp.completion import CompletedProgram, complete
-from repro.asp.configs import SolverConfig, SolverPreset
+from repro.asp.completion import CompletedProgram, SolverTemplate, complete
+from repro.asp.configs import SolverConfig, SolverPreset, require_solver_config
 from repro.asp.errors import SolveError
 from repro.asp.ground import GroundProgram
 from repro.asp.grounder import Grounder
@@ -143,6 +143,10 @@ class Control:
         self.program = Program()
         self.extra_facts: List[Tuple] = []
         self.ground_program: Optional[GroundProgram] = None
+        #: set by :meth:`PreparedProgram.fork`: the shared base the ground
+        #: program extends, and the base's solver template (if it has one)
+        self.base_program: Optional[GroundProgram] = None
+        self.template: Optional[SolverTemplate] = None
         self.completed: Optional[CompletedProgram] = None
         self._optimizer: Optional[Optimizer] = None
 
@@ -194,36 +198,53 @@ class Control:
         preset = self.preset or SolverPreset.from_config(self.config)
         return CDCLSolver(**preset.solver_kwargs())
 
+    def _complete(self) -> CompletedProgram:
+        return complete(
+            self.ground_program,
+            self._build_solver(),
+            base=self.base_program,
+            template=self.template,
+        )
+
     def solve(self, on_model=None) -> SolveResult:
-        """Complete, search, and optimize ("solve" phase)."""
+        """Complete, search, and optimize ("solve" phase).
+
+        A solve on a template's solver hands it back before returning, so
+        ``self.completed`` must not be read afterwards; the result carries
+        the model and statistics.
+        """
         if self.ground_program is None:
             self.ground()
 
         stats = self.stats
         stage = stats.stage if stats is not None else None
-        with self.timer.phase("solve"):
-            if stage is not None:
-                with stage("solve.complete"):
-                    self.completed = complete(self.ground_program, self._build_solver())
-            else:
-                self.completed = complete(self.ground_program, self._build_solver())
-            self._optimizer = Optimizer(
-                self.completed,
-                enforce_stability=self.config.enforce_stability,
-                zero_first=self.config.zero_first,
-            )
-            if stage is not None:
-                with stage("solve.search"):
-                    outcome: OptimizationResult = self._optimizer.optimize()
-            else:
-                outcome = self._optimizer.optimize()
+        try:
+            with self.timer.phase("solve"):
+                if stage is not None:
+                    with stage("solve.complete"):
+                        self.completed = self._complete()
+                else:
+                    self.completed = self._complete()
+                self._optimizer = Optimizer(
+                    self.completed,
+                    enforce_stability=self.config.enforce_stability,
+                    zero_first=self.config.zero_first,
+                )
+                if stage is not None:
+                    with stage("solve.search"):
+                        outcome: OptimizationResult = self._optimizer.optimize()
+                else:
+                    outcome = self._optimizer.optimize()
 
-        statistics: Dict[str, object] = {
-            "ground": self.ground_program.statistics(),
-            "solver": self.completed.solver.statistics(),
-            "optimization": self._optimizer.statistics(),
-            "config": self.config.name,
-        }
+            statistics: Dict[str, object] = {
+                "ground": self.ground_program.statistics(),
+                "solver": self.completed.solver.statistics(),
+                "optimization": self._optimizer.statistics(),
+                "config": self.config.name,
+            }
+        finally:
+            if self.completed is not None:
+                self.completed.release()
 
         if not outcome.satisfiable:
             return SolveResult(
@@ -274,14 +295,22 @@ class PreparedProgram:
 
     **Fork- and pickle-safety.**  Once ``__init__`` returns, a prepared
     program is only ever *read*: :meth:`fork` clones the ground state and
-    mutates the clone, never the base (the ``forks`` counter is the sole,
-    benign exception).  Nothing here holds locks, file handles, threads, or
-    other process-local resources — just parsed syntax trees and interned
-    ground atoms.  Parallel concretization sessions rely on both
+    mutates the clone, never the base (the ``forks`` counter and the solver
+    template below are the exceptions).  Apart from the template, nothing
+    here holds locks, file handles, threads, or other process-local
+    resources — just parsed syntax trees and interned ground atoms.  Parallel concretization sessions rely on both
     consequences: ``os.fork()``-based worker pools inherit prepared programs
     through copy-on-write memory and fork them concurrently, and the
     persistent ground cache (:class:`repro.spack.store.PersistentGroundCache`)
     pickles them to disk for later processes.
+
+    **Solver template.**  From its second fork on, a prepared program also
+    keeps a :class:`~repro.asp.completion.SolverTemplate`: the base program
+    completed once into a checkpointed solver, which each later solve checks
+    out so that completion runs only its delta part.  A base solved only
+    once never pays for one.  The template is in-memory state (a lock and a
+    solver): it is never pickled, snapshotted, or carried over by
+    :meth:`extend`.
     """
 
     def __init__(
@@ -300,6 +329,7 @@ class PreparedProgram:
         hints computed during emission (e.g. hints that depend on what was
         encoded).  It composes with, and is ordered after, ``base_facts``.
         """
+        require_solver_config(config, "PreparedProgram")
         self.config = config or SolverConfig.preset("tweety")
         self.join_strategy = join_strategy
         self.stats = stats
@@ -341,6 +371,16 @@ class PreparedProgram:
     def base_ground_program(self) -> GroundProgram:
         """The shared (spec-independent) ground program."""
         return self._base.ground_program
+
+    @property
+    def template(self) -> Optional[SolverTemplate]:
+        """The base's solver template, once a second fork created it."""
+        return self.__dict__.get("_template")
+
+    def __getstate__(self):
+        state = dict(self.__dict__)
+        state.pop("_template", None)
+        return state
 
     def extend(
         self,
@@ -404,6 +444,12 @@ class PreparedProgram:
             join_strategy=self.join_strategy,
             stats=self.stats,
         )
+        control.base_program = self.base_ground_program
+        if self.forks > 1:
+            # setdefault: concurrent forks agree on one template
+            control.template = self.template or self.__dict__.setdefault(
+                "_template", SolverTemplate(self.base_ground_program)
+            )
         with control.timer.phase("ground"):
             grounder = self._base.clone()
             atoms = [ground_atom(*fact) for fact in extra_facts]

@@ -117,6 +117,8 @@ class PortfolioSolver:
         verbatim (models pickle across the queue).  Losing children are
         terminated as soon as the winner reports.
         """
+        # races (and their sequential fallback) complete on the plain path
+        control.template = None
         if not self.available():
             return self._sequential(control)
 

@@ -11,7 +11,12 @@ of *clasp* in the paper.  Features:
 * Luby or geometric restarts,
 * incremental solving: clauses and constraints may be added between calls to
   :meth:`CDCLSolver.solve`, and assumptions are supported (used by the
-  optimization driver to guard tentative objective bounds).
+  optimization driver to guard tentative objective bounds),
+* checkpoints: :meth:`CDCLSolver.checkpoint` records the solver state and
+  :meth:`CDCLSolver.restore` returns to it, dropping every variable,
+  constraint, learnt clause and level-0 assignment added since, so one
+  completed base can serve many solves (the solver-state interface of Eén &
+  Sörensson, *An Extensible SAT-solver*, SAT 2003).
 
 Literals are integers in DIMACS convention: ``+v`` is variable ``v`` true,
 ``-v`` is variable ``v`` false.  Variables are numbered from 1.
@@ -34,17 +39,16 @@ def _lit_index(lit: int) -> int:
     return (lit << 1) if lit > 0 else ((-lit << 1) | 1)
 
 
-class Clause:
-    """A disjunction of literals.  The first two literals are watched."""
+#: A disjunction of literals, as a plain list: the first two are watched.
+#: Propagation reorders it in place; a clause is identified by the list
+#: object, not its contents.  (A plain list, not an object wrapping one:
+#: completion creates ~100k clauses per solve, and every extra object is
+#: one more for the cyclic garbage collector to traverse.)
+Clause = List[int]
 
-    __slots__ = ("lits", "learnt")
-
-    def __init__(self, lits: List[int], learnt: bool = False):
-        self.lits = lits
-        self.learnt = learnt
-
-    def __repr__(self):
-        return f"Clause({self.lits})"
+#: the linear watch list of a literal no constraint watches (most of them):
+#: shared, so variables cost no list object until a constraint arrives
+_NO_LINEARS: Tuple = ()
 
 
 class LinearConstraint:
@@ -91,6 +95,40 @@ class SolverStatistics:
         }
 
 
+class _Checkpoint:
+    """What :meth:`CDCLSolver.restore` needs to return to a checkpoint.
+
+    Propagation reorders watch lists and the literals of long clauses in
+    place, so both are saved verbatim: a restored solver is the checkpointed
+    one exactly, and searches the same way however it was used since.  (The
+    order of a binary clause never matters.)  Restoring copies the saved
+    lists into the live ones in place, so a restore creates no objects for
+    the garbage collector to track.
+    """
+
+    __slots__ = (
+        "num_vars", "clauses", "linears", "trail", "queue_head", "watches",
+        "long_clauses", "long_lits", "phases", "activity", "heap", "var_inc",
+        "ok", "stats",
+    )
+
+    def __init__(self, solver: "CDCLSolver"):
+        self.num_vars = solver.num_vars
+        self.clauses = len(solver.clauses)
+        self.linears = len(solver.linears)
+        self.trail = len(solver.trail)
+        self.queue_head = solver.propagation_queue_head
+        self.watches = [list(watch_list) for watch_list in solver.watches]
+        self.long_clauses = [clause for clause in solver.clauses if len(clause) > 2]
+        self.long_lits = [tuple(clause) for clause in self.long_clauses]
+        self.phases = list(solver.saved_phase)
+        self.activity = list(solver.activity)
+        self.heap = list(solver._order_heap)
+        self.var_inc = solver.var_inc
+        self.ok = solver.ok
+        self.stats = dict(vars(solver.stats))
+
+
 def _luby(i: int) -> int:
     """The i-th element (1-based) of the Luby restart sequence."""
     k = 1
@@ -135,7 +173,7 @@ class CDCLSolver:
 
         # watch lists indexed by _lit_index(l): traversed when l becomes FALSE
         self.watches: List[List[Clause]] = [[], []]
-        self.linear_watches: List[List[LinearConstraint]] = [[], []]
+        self.linear_watches: List[Sequence[LinearConstraint]] = [_NO_LINEARS, _NO_LINEARS]
 
         self.trail: List[int] = []
         self.trail_lim: List[int] = []
@@ -152,6 +190,75 @@ class CDCLSolver:
 
         # lazy max-activity heap of (-activity, var)
         self._order_heap: List[Tuple[float, int]] = []
+        self._checkpoint: Optional[_Checkpoint] = None
+
+    @property
+    def settings(self) -> Dict[str, object]:
+        """The constructor arguments: two solvers with equal settings search
+        the same way from the same state."""
+        return {
+            "heuristic": self.heuristic,
+            "default_phase": self.default_phase,
+            "restart_strategy": self.restart_strategy,
+            "restart_base": self.restart_base,
+            "var_decay": self.var_decay,
+        }
+
+    # ------------------------------------------------------------------
+    # Checkpoints
+    # ------------------------------------------------------------------
+
+    def checkpoint(self) -> None:
+        """Record the current state (at decision level 0) for :meth:`restore`."""
+        self.backtrack(0)
+        self._checkpoint = _Checkpoint(self)
+
+    def restore(self) -> None:
+        """Return to the last :meth:`checkpoint`.
+
+        Variables, clauses and linear constraints added since are truncated
+        and unhooked from the watch lists, learnt clauses are dropped, the
+        level-0 assignments made since are undone, and activity, phases, the
+        decision heap, ``ok`` and the statistics are reset to the
+        checkpoint's.
+        """
+        cp = self._checkpoint
+        if cp is None:
+            raise SolveError("restore() without a checkpoint")
+        self.backtrack(0)
+        for lit in self.trail[cp.trail:]:
+            var = abs(lit)
+            self.assigns[var] = _UNASSIGNED
+            self.reasons[var] = None
+        del self.trail[cp.trail:]
+        self.propagation_queue_head = cp.queue_head
+
+        for constraint in reversed(self.linears[cp.linears:]):
+            for lit in constraint.lits:
+                self.linear_watches[_lit_index(lit)].pop()
+        del self.linears[cp.linears:]
+        del self.clauses[cp.clauses:]
+        self.learnts = []
+        for clause, lits in zip(cp.long_clauses, cp.long_lits):
+            clause[:] = lits
+
+        self.num_vars = cp.num_vars
+        size = cp.num_vars + 1
+        del self.assigns[size:]
+        del self.levels[size:]
+        del self.reasons[size:]
+        del self.linear_watches[2 * size:]
+        del self.watches[2 * size:]
+        for watch_list, saved in zip(self.watches, cp.watches):
+            watch_list[:] = saved
+        self.saved_phase[:] = cp.phases
+        self.activity[:] = cp.activity
+        self._order_heap[:] = cp.heap
+        self.var_inc = cp.var_inc
+        self.ok = cp.ok
+        vars(self.stats).update(cp.stats)
+        self._model = None
+        self.failed_assumptions = []
 
     # ------------------------------------------------------------------
     # Problem construction
@@ -166,8 +273,8 @@ class CDCLSolver:
         self.activity.append(0.0)
         self.watches.append([])
         self.watches.append([])
-        self.linear_watches.append([])
-        self.linear_watches.append([])
+        self.linear_watches.append(_NO_LINEARS)
+        self.linear_watches.append(_NO_LINEARS)
         heapq.heappush(self._order_heap, (0.0, self.num_vars))
         return self.num_vars
 
@@ -175,22 +282,25 @@ class CDCLSolver:
         """Add a clause.  Returns False if the solver became UNSAT at level 0."""
         if not self.ok:
             return False
-        if self.decision_level() != 0:
+        if self.trail_lim:
             self.backtrack(0)
 
         # Simplify: remove duplicates and false literals, detect tautologies.
+        # (Completion adds ~100k clauses per solve: literal values are read
+        # inline rather than through lit_value.)
+        assigns = self.assigns
         seen = set()
         simplified: List[int] = []
         for lit in lits:
+            value = assigns[lit] if lit > 0 else assigns[-lit]
+            if value != _UNASSIGNED:
+                if (value == _TRUE) == (lit > 0):
+                    return True  # already satisfied at level 0
+                continue
             if lit in seen:
                 continue
             if -lit in seen:
                 return True  # tautology
-            value = self.lit_value(lit)
-            if value == _TRUE:
-                return True  # already satisfied at level 0
-            if value == _FALSE:
-                continue
             seen.add(lit)
             simplified.append(lit)
 
@@ -207,9 +317,8 @@ class CDCLSolver:
                 return False
             return True
 
-        clause = Clause(simplified)
-        self.clauses.append(clause)
-        self._watch_clause(clause)
+        self.clauses.append(simplified)
+        self._watch_clause(simplified)
         return True
 
     def add_linear_geq(self, lits: Sequence[int], coeffs: Sequence[int], bound: int) -> bool:
@@ -243,10 +352,14 @@ class CDCLSolver:
 
         constraint = LinearConstraint(filtered_lits, filtered_coeffs, bound)
         self.linears.append(constraint)
+        linear_watches = self.linear_watches
         for lit in filtered_lits:
             # stored under the literal itself; traversed when that literal
             # becomes false (same convention as clause watch lists)
-            self.linear_watches[_lit_index(lit)].append(constraint)
+            index = _lit_index(lit)
+            if linear_watches[index] is _NO_LINEARS:
+                linear_watches[index] = []
+            linear_watches[index].append(constraint)
 
         # Propagate anything already forced at level 0.
         conflict_clause = self._linear_propagate(constraint)
@@ -301,8 +414,8 @@ class CDCLSolver:
     # ------------------------------------------------------------------
 
     def _watch_clause(self, clause: Clause):
-        self.watches[_lit_index(clause.lits[0])].append(clause)
-        self.watches[_lit_index(clause.lits[1])].append(clause)
+        self.watches[_lit_index(clause[0])].append(clause)
+        self.watches[_lit_index(clause[1])].append(clause)
 
     def _enqueue(self, lit: int, reason: Optional[Clause]) -> bool:
         value = self.lit_value(lit)
@@ -338,22 +451,21 @@ class CDCLSolver:
         index = 0
         while index < len(watch_list):
             clause = watch_list[index]
-            lits = clause.lits
             # Ensure the false literal is at position 1.
-            if lits[0] == false_lit:
-                lits[0], lits[1] = lits[1], lits[0]
-            first = lits[0]
+            if clause[0] == false_lit:
+                clause[0], clause[1] = clause[1], clause[0]
+            first = clause[0]
             if self.lit_value(first) == _TRUE:
                 index += 1
                 continue
             # Look for a replacement watch.
             found = False
-            for position in range(2, len(lits)):
-                if self.lit_value(lits[position]) != _FALSE:
-                    lits[1], lits[position] = lits[position], lits[1]
+            for position in range(2, len(clause)):
+                if self.lit_value(clause[position]) != _FALSE:
+                    clause[1], clause[position] = clause[position], clause[1]
                     watch_list[index] = watch_list[-1]
                     watch_list.pop()
-                    self.watches[_lit_index(lits[1])].append(clause)
+                    self.watches[_lit_index(clause[1])].append(clause)
                     found = True
                     break
             if found:
@@ -382,11 +494,11 @@ class CDCLSolver:
                 max_possible += coeff
         if max_possible < constraint.bound:
             # Conflict: at least one of the falsified literals must be true.
-            return Clause(list(false_lits))
+            return list(false_lits)
         slack = max_possible - constraint.bound
         for lit, coeff in zip(constraint.lits, constraint.coeffs):
             if coeff > slack and self.lit_value(lit) == _UNASSIGNED:
-                reason = Clause([lit] + false_lits)
+                reason = [lit] + false_lits
                 if not self._enqueue(lit, reason):
                     return reason
         return None
@@ -422,7 +534,7 @@ class CDCLSolver:
         current_level = self.decision_level()
 
         while True:
-            for q in clause.lits:
+            for q in clause:
                 var = abs(q)
                 if resolved_lit is not None and var == abs(resolved_lit):
                     continue
@@ -536,7 +648,7 @@ class CDCLSolver:
                 conflicts_this_call += 1
 
                 conflict_level = 0
-                for lit in conflict.lits:
+                for lit in conflict:
                     level = self.levels[abs(lit)]
                     if level > conflict_level:
                         conflict_level = level
@@ -553,11 +665,10 @@ class CDCLSolver:
                         self.ok = False
                         return False
                 else:
-                    clause = Clause(learnt, learnt=True)
-                    self.learnts.append(clause)
+                    self.learnts.append(learnt)
                     self.stats.learned_clauses += 1
-                    self._watch_clause(clause)
-                    self._enqueue(learnt[0], clause)
+                    self._watch_clause(learnt)
+                    self._enqueue(learnt[0], learnt)
                 self._decay_activities()
 
                 if self.conflict_budget is not None and conflicts_this_call >= self.conflict_budget:
@@ -625,7 +736,7 @@ class CDCLSolver:
                 if trail_var != var:
                     out.append(self.trail[position])
             else:
-                for lit in reason.lits:
+                for lit in reason:
                     lit_var = abs(lit)
                     if lit_var != trail_var and self.levels[lit_var] > 0:
                         seen.add(lit_var)

@@ -55,6 +55,7 @@ from typing import AsyncIterator, List, Optional, Sequence, Tuple, Union
 
 from repro.asp.configs import SolverPreset
 from repro.spack.concretize.concretizer import ConcretizationResult, UnsatOutcome
+from repro.spack.concretize.config import check_config_types
 from repro.spack.concretize.session import (
     _WORKER_BATCHES,
     _WORKER_BATCH_IDS,
@@ -99,6 +100,9 @@ class AsyncConcretizationSession:
                 "pass either an existing session= or ConcretizationSession "
                 "arguments, not both"
             )
+        check_config_types(
+            "AsyncConcretizationSession", kwargs.get("config"), kwargs.get("session_config")
+        )
         self.session = session if session is not None else ConcretizationSession(*args, **kwargs)
         if max_concurrency is None:
             max_concurrency = self.session.session_config.max_concurrency

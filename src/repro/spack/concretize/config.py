@@ -30,7 +30,14 @@ import warnings
 from dataclasses import dataclass, field, fields, replace
 from typing import Dict, Optional, Sequence, Union
 
-__all__ = ["SessionConfig", "LEGACY_SESSION_KWARGS", "resolve_session_config"]
+from repro.asp.configs import SolverConfig, require_solver_config
+
+__all__ = [
+    "SessionConfig",
+    "LEGACY_SESSION_KWARGS",
+    "check_config_types",
+    "resolve_session_config",
+]
 
 
 @dataclass(frozen=True)
@@ -156,9 +163,34 @@ def resolve_session_config(
             stacklevel=stacklevel,
         )
         overrides[target] = value
+    check_config_types(owner, session_config=session_config)
     base = session_config if session_config is not None else SessionConfig()
-    if not isinstance(base, SessionConfig):
-        raise TypeError(
-            f"session_config must be a SessionConfig, got {type(base).__name__}"
-        )
     return replace(base, **overrides) if overrides else base
+
+
+def check_config_types(
+    owner: str,
+    config=None,
+    session_config=None,
+    config_keyword: str = "config=",
+) -> None:
+    """Reject a config object under the wrong keyword at construction.
+
+    ``config`` (named ``config_keyword`` in messages) must be a
+    :class:`~repro.asp.configs.SolverConfig` and ``session_config`` a
+    :class:`SessionConfig`; the two are easy to swap, and a swapped one
+    used to fail with an AttributeError in the middle of the first solve.
+    The TypeError names the keyword the object belongs to.
+    """
+    hint = "; pass a SessionConfig as session_config=" if isinstance(config, SessionConfig) else ""
+    require_solver_config(config, owner, hint, keyword=config_keyword)
+    if session_config is not None and not isinstance(session_config, SessionConfig):
+        hint = (
+            f"; pass a SolverConfig as {config_keyword}"
+            if isinstance(session_config, SolverConfig)
+            else ""
+        )
+        raise TypeError(
+            f"{owner}: session_config= takes a SessionConfig, "
+            f"got {type(session_config).__name__}{hint}"
+        )

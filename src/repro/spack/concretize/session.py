@@ -89,7 +89,11 @@ from repro.spack.concretize.concretizer import (
     UnsatOutcome,
     result_from_solve,
 )
-from repro.spack.concretize.config import SessionConfig, resolve_session_config
+from repro.spack.concretize.config import (
+    SessionConfig,
+    check_config_types,
+    resolve_session_config,
+)
 from repro.spack.concretize.explain import explain_unsat
 from repro.spack.concretize.criteria import (
     BUILD_PRIORITY_OFFSET,
@@ -545,6 +549,7 @@ class ConcretizationSession:
         session_config: Optional[SessionConfig] = None,
         **legacy,
     ):
+        check_config_types("ConcretizationSession", config)
         cfg = resolve_session_config(
             session_config, legacy, "ConcretizationSession"
         )

@@ -45,7 +45,11 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Type
 from repro.asp.configs import SolverPreset
 from repro.spack.concretize.async_session import AsyncConcretizationSession
 from repro.spack.concretize.concretizer import ConcretizationResult
-from repro.spack.concretize.config import LEGACY_SESSION_KWARGS, SessionConfig
+from repro.spack.concretize.config import (
+    LEGACY_SESSION_KWARGS,
+    SessionConfig,
+    check_config_types,
+)
 from repro.spack.concretize.session import ConcretizationSession
 from repro.spack.errors import (
     SpackError,
@@ -271,8 +275,14 @@ class ConcretizationService:
         session_config: Optional[SessionConfig] = None,
         session_kwargs: Optional[Dict] = None,
     ):
-        config = session_config if session_config is not None else SessionConfig()
         extra = dict(session_kwargs or {})
+        check_config_types(
+            "ConcretizationService",
+            extra.get("config"),
+            session_config,
+            config_keyword="session_kwargs['config']",
+        )
+        config = session_config if session_config is not None else SessionConfig()
         if extra:
             warnings.warn(
                 "ConcretizationService(session_kwargs=...) is deprecated; pass "

@@ -3,7 +3,9 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.asp.errors import SolveError
 from repro.asp.solver import CDCLSolver, _luby
 
 
@@ -202,3 +204,171 @@ class TestHeuristicsAndRestarts:
 class TestLuby:
     def test_luby_prefix(self):
         assert [_luby(i) for i in range(1, 16)] == [1, 1, 2, 1, 1, 2, 4, 1, 1, 2, 1, 1, 2, 4, 8]
+
+
+# ---------------------------------------------------------------------------
+# Checkpoint / restore (hypothesis)
+# ---------------------------------------------------------------------------
+
+
+def _literal(num_vars):
+    return st.integers(1, num_vars).flatmap(lambda v: st.sampled_from([v, -v]))
+
+
+def _clauses(num_vars, min_len, min_size, max_size):
+    return st.lists(
+        st.lists(_literal(num_vars), min_size=min_len, max_size=3, unique_by=abs),
+        min_size=min_size,
+        max_size=max_size,
+    )
+
+
+def _linears(num_vars, max_size):
+    def constraint(lits):
+        return st.tuples(
+            st.just(lits),
+            st.lists(st.integers(1, 3), min_size=len(lits), max_size=len(lits)),
+        ).flatmap(
+            lambda pair: st.tuples(
+                st.just(pair[0]), st.just(pair[1]), st.integers(1, sum(pair[1]))
+            )
+        )
+
+    lits = st.lists(_literal(num_vars), min_size=1, max_size=4, unique_by=abs)
+    return st.lists(lits.flatmap(constraint), max_size=max_size)
+
+
+@st.composite
+def checkpoint_scenarios(draw):
+    # near the 3-SAT threshold, so searches conflict, learn and restart
+    base_vars = draw(st.integers(5, 10))
+    all_vars = base_vars + draw(st.integers(0, 3))
+    return {
+        "base_vars": base_vars,
+        "base_clauses": draw(_clauses(base_vars, 3, 3 * base_vars, 5 * base_vars)),
+        "base_linears": draw(_linears(base_vars, 3)),
+        "new_vars": all_vars - base_vars,
+        "clauses": draw(_clauses(all_vars, 1, 0, 12)),
+        "linears": draw(_linears(all_vars, 3)),
+        "assumptions": draw(
+            st.lists(_literal(all_vars), max_size=3, unique_by=abs)
+        ),
+    }
+
+
+def _build_base(scenario):
+    solver = CDCLSolver(restart_base=2)
+    for _ in range(scenario["base_vars"]):
+        solver.new_var()
+    for clause in scenario["base_clauses"]:
+        solver.add_clause(clause)
+    for lits, coeffs, bound in scenario["base_linears"]:
+        solver.add_linear_geq(lits, coeffs, bound)
+    return solver
+
+
+def _extend_and_solve(solver, scenario):
+    for _ in range(scenario["new_vars"]):
+        solver.new_var()
+    for clause in scenario["clauses"]:
+        solver.add_clause(clause)
+    for lits, coeffs, bound in scenario["linears"]:
+        solver.add_linear_geq(lits, coeffs, bound)
+    outcomes = [solver.solve(scenario["assumptions"]), solver.solve()]
+    return outcomes, (solver.model() if outcomes[-1] else None), solver.statistics()
+
+
+def _state(solver):
+    """Everything restore() promises to bring back, by object identity."""
+    return {
+        "num_vars": solver.num_vars,
+        "clauses": [id(clause) for clause in solver.clauses],
+        # restore() brings back the order of long clauses, which guides the
+        # search for replacement watches; binary clauses are order-free
+        "clause_lits": [
+            tuple(clause) if len(clause) > 2 else frozenset(clause) for clause in solver.clauses
+        ],
+        "learnts": len(solver.learnts),
+        "linears": [id(constraint) for constraint in solver.linears],
+        "watches": [[id(clause) for clause in watch] for watch in solver.watches],
+        "linear_watches": [[id(c) for c in watch] for watch in solver.linear_watches],
+        "trail": list(solver.trail),
+        "assigns": list(solver.assigns),
+        "activity": list(solver.activity),
+        "phases": list(solver.saved_phase),
+        "heap": sorted(solver._order_heap),
+        "ok": solver.ok,
+        "stats": solver.statistics(),
+    }
+
+
+def _satisfies(model, scenario, extended):
+    clauses = list(scenario["base_clauses"])
+    linears = list(scenario["base_linears"])
+    if extended:
+        clauses += scenario["clauses"]
+        linears += scenario["linears"]
+    return all(any(model[abs(l)] == (l > 0) for l in clause) for clause in clauses) and all(
+        sum(c for l, c in zip(lits, coeffs) if model[abs(l)] == (l > 0)) >= bound
+        for lits, coeffs, bound in linears
+    )
+
+
+class TestCheckpoint:
+    @settings(max_examples=150, deadline=None)
+    @given(checkpoint_scenarios())
+    def test_restore_returns_to_the_checkpoint(self, scenario):
+        solver = _build_base(scenario)
+        solver.checkpoint()
+        before = _state(solver)
+
+        first = _extend_and_solve(solver, scenario)
+        solver.restore()
+        assert _state(solver) == before
+
+        # the restored solver is the checkpointed one exactly: a fresh build
+        # answers the same, with the same model and the same search
+        fresh = _build_base(scenario)
+        outcome = solver.solve()
+        assert outcome == fresh.solve()
+        if outcome:
+            assert solver.model() == fresh.model()
+            assert _satisfies(solver.model(), scenario, extended=False)
+        assert solver.statistics() == fresh.statistics()
+
+        solver.restore()
+        again = _extend_and_solve(solver, scenario)
+        assert again == first == _extend_and_solve(_build_base(scenario), scenario)
+        if again[1] is not None:
+            assert _satisfies(again[1], scenario, extended=True)
+
+    def test_restore_after_level_zero_unsat(self):
+        solver, (a, b, c) = make_solver(3)
+        solver.add_clause([a, b])
+        solver.add_clause([-a, c])
+        solver.checkpoint()
+        before = _state(solver)
+
+        solver.add_clause([-b])
+        assert solver.add_clause([-c]) is False
+        assert solver.ok is False
+        assert solver.solve() is False
+
+        solver.restore()
+        assert _state(solver) == before
+        assert solver.ok is True
+        assert solver.solve() is True
+
+    def test_checkpoint_of_an_unsat_solver_stays_unsat(self):
+        solver, (a,) = make_solver(1)
+        solver.add_clause([a])
+        solver.add_clause([-a])
+        solver.checkpoint()
+        solver.new_var()
+        solver.restore()
+        assert solver.ok is False and solver.num_vars == 1
+        assert solver.solve() is False
+
+    def test_restore_without_checkpoint_fails(self):
+        with pytest.raises(SolveError):
+            CDCLSolver().restore()

@@ -20,6 +20,8 @@ import warnings
 
 import pytest
 
+from repro.asp.configs import SolverConfig
+from repro.asp.control import PreparedProgram
 from repro.spack.concretize import SessionConfig
 from repro.spack.concretize.async_session import AsyncConcretizationSession
 from repro.spack.concretize.config import LEGACY_SESSION_KWARGS
@@ -28,6 +30,7 @@ from repro.spack.concretize.session import (
     ParallelConcretizationSession,
     clear_shared_bases,
 )
+from repro.spack.service import ConcretizationService
 
 
 def make_session(repo, **kwargs):
@@ -101,6 +104,37 @@ def test_legacy_kwargs_override_session_config(micro_repo):
 def test_unknown_kwarg_raises_type_error(micro_repo):
     with pytest.raises(TypeError, match="unexpected keyword argument 'warp_speed'"):
         make_session(micro_repo, warp_speed=9)
+
+
+# ---------------------------------------------------------------------------
+# A config object under the wrong keyword fails at construction
+# ---------------------------------------------------------------------------
+
+
+def test_session_rejects_swapped_configs(micro_repo):
+    with pytest.raises(TypeError, match="pass a SessionConfig as session_config="):
+        ConcretizationSession(repo=micro_repo, config=SessionConfig())
+    with pytest.raises(TypeError, match="pass a SolverConfig as config="):
+        ConcretizationSession(repo=micro_repo, session_config=SolverConfig())
+
+
+def test_async_session_rejects_swapped_configs(micro_repo):
+    with pytest.raises(TypeError, match="AsyncConcretizationSession: config= .*session_config="):
+        AsyncConcretizationSession(repo=micro_repo, config=SessionConfig())
+    with pytest.raises(TypeError, match="pass a SolverConfig as config="):
+        AsyncConcretizationSession(repo=micro_repo, session_config=SolverConfig())
+
+
+def test_service_rejects_swapped_configs(micro_repo):
+    with pytest.raises(TypeError, match=r"session_kwargs\['config'\] .*session_config="):
+        ConcretizationService(micro_repo, session_kwargs={"config": SessionConfig()})
+    with pytest.raises(TypeError, match=r"pass a SolverConfig as session_kwargs\['config'\]"):
+        ConcretizationService(micro_repo, session_config=SolverConfig())
+
+
+def test_prepared_program_rejects_a_session_config():
+    with pytest.raises(TypeError, match="PreparedProgram: config= takes a SolverConfig"):
+        PreparedProgram("a.", config=SessionConfig())
 
 
 def test_config_only_construction_emits_no_warnings(micro_repo):
