@@ -10,6 +10,10 @@ resulting ``results/profile.*`` table as the per-stage timing artifact, so
 a grounding regression in a PR shows up as a stage delta, not just a fatter
 total.
 
+It also records the solver's total work on each workload (decisions and
+conflicts, ``[#]`` rows).  The search is deterministic, so
+``reporting.py --check`` fails when a change alters these counts.
+
 The same numbers are live in production via ``/v1/stats`` — this benchmark
 asserts the profile is populated (every solve accounted for, ground + solve
 stages present) so the profiling hook cannot silently rot.
@@ -44,7 +48,8 @@ REQUIRED_STAGE_PREFIXES = ("ground", "delta", "solve")
 
 
 def run_profiled(repo, workload):
-    """Concretize ``workload`` under ``profile="rules"``; return the stats."""
+    """Concretize ``workload`` under ``profile="rules"``; return the wall
+    time, session statistics, stage profile and total solver work."""
     clear_shared_bases()
     session = ConcretizationSession(
         repo=repo, share_ground_cache=False, profile="rules"
@@ -55,7 +60,16 @@ def run_profiled(repo, workload):
     assert len(results) == len(workload)
     stats = session.statistics()
     asp = stats.get("asp") or {}
-    return wall, stats, asp
+    search = {
+        key: sum(result.statistics["solver"][key] for result in results)
+        for key in ("decisions", "conflicts")
+    }
+    return wall, stats, asp, search
+
+
+def search_rows(search, label):
+    """The solver's total work: exact counts, gated by ``reporting.py``."""
+    return [(f"{label} solver {key} [#]", value) for key, value in search.items()]
 
 
 def stage_rows(asp, wall):
@@ -97,15 +111,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     failures = []
-    wall, stats, asp = run_profiled(micro_repo(), list(FAMILY_WORKLOAD_16))
+    wall, stats, asp, search = run_profiled(micro_repo(), list(FAMILY_WORKLOAD_16))
     failures += check_profile(asp, "micro")
     rows = [
         ("catalog / workload", f"micro / {len(FAMILY_WORKLOAD_16)} specs"),
         ("join strategy", stats.get("join_strategy", "?")),
-    ] + stage_rows(asp, wall)
+    ] + search_rows(search, "micro") + stage_rows(asp, wall)
 
     if not args.quick:
-        heavy_wall, heavy_stats, heavy_asp = run_profiled(
+        heavy_wall, heavy_stats, heavy_asp, heavy_search = run_profiled(
             solver_heavy_repo(), list(SOLVER_HEAVY_WORKLOAD)
         )
         failures += check_profile(heavy_asp, "solver-heavy")
@@ -116,7 +130,7 @@ def main(argv=None) -> int:
                 f"solver-heavy / {len(SOLVER_HEAVY_WORKLOAD)} specs",
             ),
             ("join strategy", heavy_stats.get("join_strategy", "?")),
-        ] + stage_rows(heavy_asp, heavy_wall)
+        ] + search_rows(heavy_search, "solver-heavy") + stage_rows(heavy_asp, heavy_wall)
 
     record(
         "profile",

@@ -32,7 +32,7 @@ import re
 import subprocess
 import sys
 import time
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence
 
 BENCHMARKS_DIR = os.path.dirname(os.path.abspath(__file__))
 REPO_ROOT = os.path.dirname(BENCHMARKS_DIR)
@@ -239,24 +239,26 @@ def _parse_metric(value) -> Optional[float]:
 
 def previous_trend(current_number: int) -> Optional[Dict]:
     """The payload of the newest ``BENCH_<m>.json`` with ``m < n``, if any."""
-    best: Optional[tuple] = None
+    return next(prior_trends(current_number), None)
+
+
+def prior_trends(current_number: int) -> Iterator[Dict]:
+    """Payloads of every readable ``BENCH_<m>.json`` with ``m < n``, newest
+    first."""
+    numbered = []
     for path in glob.glob(os.path.join(REPO_ROOT, "BENCH_*.json")):
         number = _bench_number(path)
-        if number is None or number >= current_number:
+        if number is not None and number < current_number:
+            numbered.append((number, path))
+    for number, path in sorted(numbered, reverse=True):
+        try:
+            with open(path) as stream:
+                payload = json.load(stream)
+        except (OSError, ValueError):
             continue
-        if best is None or number > best[0]:
-            best = (number, path)
-    if best is None:
-        return None
-    try:
-        with open(best[1]) as stream:
-            payload = json.load(stream)
-    except (OSError, ValueError):
-        return None
-    if isinstance(payload, dict):
-        payload.setdefault("pr", best[0])
-        return payload
-    return None
+        if isinstance(payload, dict):
+            payload.setdefault("pr", number)
+            yield payload
 
 
 def compute_deltas(
@@ -341,6 +343,46 @@ def check_regressions(trend: Dict, band: Optional[float] = None) -> List[str]:
                     f"band {band * 100.0:.0f}%)"
                 )
     return failures
+
+
+def check_exact_counts(trend: Dict) -> List[str]:
+    """Changed exact counts, as failure strings.
+
+    Metrics labelled ``[#]`` are counts of deterministic work, such as the
+    solver's decisions on a fixed workload: any change is a change in
+    behaviour, not noise.  Each is compared with the newest prior trend file
+    whose same-titled table has it; a metric no prior file has is skipped.
+    """
+    number = trend.get("pr")
+    priors = list(prior_trends(number if isinstance(number, int) else trend_number()))
+    failures: List[str] = []
+    for table_name, table in sorted((trend.get("tables") or {}).items()):
+        for metric, value in _table_values(table).items():
+            if not metric.endswith("[#]") or value is None:
+                continue
+            for payload in priors:
+                prior = (payload.get("tables") or {}).get(table_name)
+                if not isinstance(prior, dict) or prior.get("title") != table.get("title"):
+                    continue
+                previous = _table_values(prior).get(metric)
+                if previous is None:
+                    continue
+                if previous != value:
+                    failures.append(
+                        f"{table_name}: {metric} changed {previous:g} -> {value:g} "
+                        f"(an exact count; compared with BENCH_{payload['pr']}.json)"
+                    )
+                break
+    return failures
+
+
+def _table_values(table: Dict) -> Dict[str, Optional[float]]:
+    """A recorded table's rows as ``{metric: parsed value}``."""
+    return {
+        str(row[0]): _parse_metric(row[1])
+        for row in table.get("rows", ())
+        if isinstance(row, (list, tuple)) and len(row) >= 2
+    }
 
 
 def run_quick_benchmarks(scripts: Sequence[str] = QUICK_BENCHMARKS) -> List[Dict]:
@@ -461,7 +503,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="after the sweep (or standalone against an existing trend "
         "file), fail on wall-time regressions vs the previous BENCH_*.json "
         "beyond the noise band (BENCH_NOISE_BAND, default "
-        f"{DEFAULT_NOISE_BAND})",
+        f"{DEFAULT_NOISE_BAND}), and on any change of an exact count ([#]) "
+        "vs the newest prior BENCH_*.json that has it",
     )
     args = parser.parse_args(argv)
     if not args.quick and not args.check:
@@ -488,7 +531,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return 1
 
     if args.check:
-        regressions = check_regressions(trend)
+        regressions = check_regressions(trend) + check_exact_counts(trend)
         for regression in regressions:
             print(f"[bench-trend] REGRESSION: {regression}", file=sys.stderr)
         if not regressions:

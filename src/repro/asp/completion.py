@@ -88,20 +88,15 @@ class CompletedProgram:
 
     def true_atoms(self) -> Set[int]:
         """Atoms true in the solver's current model."""
-        return {
-            atom_id
-            for atom_id, var in self.atom_to_var.items()
-            if self.solver.model_value(var)
-        }
+        model = self.solver.model_values()
+        return {atom_id for atom_id, var in self.atom_to_var.items() if model[var]}
 
     def level_cost(self, priority: int) -> int:
         """Cost of the current model at one priority level."""
-        base = self.objective_bases.get(priority, 0)
-        total = base
-        for term in self.objectives.get(priority, []):
-            if self.solver.model_value(term.variable):
-                total += term.weight
-        return total
+        model = self.solver.model_values()
+        return self.objective_bases.get(priority, 0) + sum(
+            term.weight for term in self.objectives.get(priority, ()) if model[term.variable]
+        )
 
     def cost_vector(self) -> Dict[int, int]:
         """Costs of the current model at every priority level (descending)."""

@@ -29,7 +29,7 @@ def well_founded_atoms(completed: CompletedProgram, model_atoms: Set[int]) -> Se
     all its positive body atoms have already been derived; derived heads are
     limited to atoms true in the model because the model satisfies every rule.
     """
-    solver = completed.solver
+    model = completed.solver.model_values()
     derived: Set[int] = set(completed.fact_atoms)
 
     # Index supports by the positive atoms they are still waiting on.
@@ -41,7 +41,8 @@ def well_founded_atoms(completed: CompletedProgram, model_atoms: Set[int]) -> Se
         if atom_id in derived:
             continue
         for support in completed.supports.get(atom_id, []):
-            if solver.model_value(abs(support.body_literal)) != (support.body_literal > 0):
+            body = support.body_literal
+            if model[body if body > 0 else -body] != (body > 0):
                 continue  # the body is not satisfied in this model
             missing = {a for a in support.positive_atoms if a not in derived}
             entry = [atom_id, missing]

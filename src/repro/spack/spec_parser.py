@@ -95,6 +95,8 @@ def parse_specs(text: str) -> List[Spec]:
             if current_root is None:
                 raise SpecSyntaxError(f"dangling '^' in {text!r}")
             name = lexer.take(_NAME_RE, "a dependency name")
+            if name == current_root.name:
+                raise SpecSyntaxError(f"{name!r} cannot depend on itself in {text!r}")
             dependency = current_root.dependencies.get(name)
             if dependency is None:
                 dependency = Spec(name=name)
@@ -106,7 +108,7 @@ def parse_specs(text: str) -> List[Spec]:
             lexer.pos += 1
             node = ensure_node()
             constraint = lexer.take(_VERSION_RE, "a version constraint")
-            node.versions = node.versions.constrain(_parse_versions(constraint, text))
+            node.versions = _constrain_versions(node.versions, constraint, text)
             continue
 
         if char == "%":
@@ -119,8 +121,8 @@ def parse_specs(text: str) -> List[Spec]:
             if lexer.peek() == "@":
                 lexer.pos += 1
                 constraint = lexer.take(_VERSION_RE, "a compiler version")
-                node.compiler_versions = node.compiler_versions.constrain(
-                    _parse_versions(constraint, text)
+                node.compiler_versions = _constrain_versions(
+                    node.compiler_versions, constraint, text
                 )
             continue
 
@@ -158,12 +160,13 @@ def parse_specs(text: str) -> List[Spec]:
     return roots
 
 
-def _parse_versions(constraint: str, text: str):
-    """Parse one ``@...`` constraint, surfacing malformed input as a parse
-    error (the version layer's :class:`VersionError` is an internal detail a
-    caller feeding raw user strings should never see)."""
+def _constrain_versions(versions, constraint: str, text: str):
+    """Intersect ``versions`` with one ``@...`` constraint, surfacing
+    malformed or contradictory input (``foo@1.0@2.0``) as a parse error (the
+    version layer's :class:`VersionError` is an internal detail a caller
+    feeding raw user strings should never see)."""
     try:
-        return parse_version_constraint(constraint)
+        return versions.constrain(parse_version_constraint(constraint))
     except VersionError as exc:
         raise SpecSyntaxError(
             f"bad version constraint {constraint!r} in {text!r}: {exc}"

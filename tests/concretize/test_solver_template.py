@@ -237,6 +237,26 @@ def test_template_does_not_grow(micro_repo):
     assert size() == checkpoint
 
 
+#: the solver's work on three specs of one session (plain path, template
+#: build, template reuse), recorded before the search loop was fused: the
+#: fused solver must make exactly the same search, and so must completion
+#: and the optimizer, which decide the order of clauses and bound constraints
+TRAJECTORY_PIN = {
+    "example": dict(decisions=664, conflicts=2, propagations=16865, solve_calls=12),
+    "example~bzip ^mpich@3.1": dict(
+        decisions=375, conflicts=0, propagations=8078, solve_calls=15
+    ),
+    "example ^zlib~pic": dict(decisions=663, conflicts=2, propagations=16841, solve_calls=14),
+}
+
+
+def test_search_trajectory_is_pinned(micro_repo):
+    session = new_session(micro_repo)
+    for spec, expected in TRAJECTORY_PIN.items():
+        solver = session.concretize(spec).statistics["solver"]
+        assert {key: solver[key] for key in expected} == expected, spec
+
+
 def test_other_solver_settings_take_the_plain_path(micro_repo):
     session = new_session(micro_repo)
     session.solve(FAMILY[:2])

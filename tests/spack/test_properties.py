@@ -1,7 +1,7 @@
 """Property-based tests for the Spack layer (hypothesis)."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.spack.errors import SpecSyntaxError
 from repro.spack.spec import Spec
@@ -138,6 +138,12 @@ spec_soup = st.text(
 
 @settings(max_examples=300, deadline=None)
 @given(spec_soup)
+# contradictory version constraints on one node once escaped as VersionError
+@example("foo@1.0@2.0")
+@example("foo ^bar@1 ^bar@2")
+@example("foo%gcc@1%gcc@2")
+# a root naming itself as a dependency once parsed, then rendered without it
+@example("0^0")
 def test_parse_spec_returns_a_spec_or_raises_spec_syntax_error(text):
     """The property HTTP 400 mapping rests on: any string either parses into
     a Spec or raises SpecSyntaxError — no other exception type ever escapes

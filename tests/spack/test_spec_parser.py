@@ -128,6 +128,17 @@ class TestErrors:
         with pytest.raises(SpecSyntaxError):
             parse_spec("hdf5 arch=linux-rhel7")
 
+    @pytest.mark.parametrize(
+        "text", ["foo@1.0@2.0", "foo ^bar@1 ^bar@2", "foo%gcc@1%gcc@2"]
+    )
+    def test_contradictory_versions_are_a_syntax_error(self, text):
+        with pytest.raises(SpecSyntaxError, match="bad version constraint"):
+            parse_spec(text)
+
+    def test_self_dependency_is_a_syntax_error(self):
+        with pytest.raises(SpecSyntaxError, match="cannot depend on itself"):
+            parse_spec("hdf5 ^zlib ^hdf5")
+
 
 class TestServiceBoundaryEdgeCases:
     """Inputs a concretization service receives from untrusted clients: all
