@@ -10,10 +10,14 @@ Here the buildcache is built by concretizing a small stack under several
 subsets (full / one arch / one os / both).
 """
 
+import time
+
 import pytest
 
 from benchmarks.reporting import record
 from repro.spack.concretize import Concretizer
+from repro.spack.concretize.encoder import ProblemEncoder
+from repro.spack.spec_parser import parse_spec
 from repro.spack.store import Database
 from repro.spack.workloads import build_buildcache, buildcache_subsets
 
@@ -75,11 +79,25 @@ def cache_series(repo, buildcaches):
     return rows
 
 
-def test_fig7e_setup_time_grows_with_cache_size(cache_series, benchmark):
+def best_setup_time(repo, database, repeats: int = 7) -> float:
+    """Best-of-``repeats`` wall time of the setup phase (fact generation,
+    timed exactly as :meth:`Concretizer.solve` times it)."""
+    best = float("inf")
+    for _ in range(repeats):
+        start = time.perf_counter()
+        ProblemEncoder(repo, store=database, reuse=True).encode([parse_spec(REQUEST)])
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
+def test_fig7e_setup_time_grows_with_cache_size(repo, buildcaches, cache_series, benchmark):
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     smallest, largest = cache_series[0], cache_series[-1]
     assert largest["cached"] > smallest["cached"]
-    assert largest["setup"] >= smallest["setup"]
+    # setup takes ~3 ms here, and one reading of it varies by about as much
+    # as 18 vs 72 installed specs add, so compare the best of several
+    (_, small_db), (_, large_db) = buildcaches[0], buildcaches[-1]
+    assert best_setup_time(repo, large_db) >= best_setup_time(repo, small_db)
 
 
 def test_fig7f_solves_remain_tractable(cache_series, benchmark):

@@ -7,9 +7,9 @@ possible packages per solve) — the micro catalog the scaling act used to
 run on spent its time in session bookkeeping, which is how the old ~1.04x
 "speedup" caveat happened; this workload actually grounds and solves:
 
-0. **Grounder hot path** — one cold single solve (workers=1) under the
-   indexed join strategy vs. the reference ``naive`` strategy (the pre-PR
-   grounder, preserved in :mod:`repro.asp.naive`).  Results must be
+0. **Grounder hot path** — one cold single solve (workers=1) with the
+   indexed ``Grounder`` vs. the same solve with the reference naive
+   grounder of ``tests/asp/naive.py`` substituted for it.  Results must be
    signature-identical; the *full* run asserts the >=1.5x floor on the
    indexed speedup.
 
@@ -38,6 +38,7 @@ Run standalone (CI smoke uses ``--quick``)::
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import subprocess
@@ -56,11 +57,12 @@ from benchmarks.workloads import (  # noqa: E402
     signature,
     solver_heavy_repo,
 )
-from repro.spack.concretize import ConcretizationSession  # noqa: E402
+from repro.spack.concretize import ConcretizationSession, SessionConfig  # noqa: E402
 from repro.spack.concretize.session import (  # noqa: E402
     clear_shared_bases,
     default_worker_count,
 )
+from tests.asp.naive import substituted  # noqa: E402
 
 WORKERS = 4
 
@@ -84,12 +86,12 @@ def speedup_floor(quick: bool):
 
 
 # ---------------------------------------------------------------------------
-# Act 0: grounder hot path (indexed vs naive, single cold solve)
+# Act 0: grounder hot path (indexed vs the naive oracle, single cold solve)
 # ---------------------------------------------------------------------------
 
 
 def run_grounder_comparison(repo):
-    """Cold single solve (workers=1) under each join strategy.
+    """Cold single solve (workers=1) with each grounder.
 
     Uses the first workload spec only: a *single* solve is the unit the
     >=1.5x acceptance floor talks about, and base grounding — where the
@@ -97,17 +99,21 @@ def run_grounder_comparison(repo):
     """
     times = {}
     signatures = {}
-    for strategy in ("indexed", "naive"):
+    for strategy, grounder in (
+        ("indexed", contextlib.nullcontext()),
+        ("naive", substituted()),
+    ):
         clear_shared_bases()
-        session = ConcretizationSession(
-            repo=repo, share_ground_cache=False, join_strategy=strategy
-        )
-        start = time.perf_counter()
-        result = session.solve([WORKLOAD[0]])[0]
-        times[strategy] = time.perf_counter() - start
+        with grounder:
+            session = ConcretizationSession(
+                repo=repo, session_config=SessionConfig(share_ground_cache=False)
+            )
+            start = time.perf_counter()
+            result = session.solve([WORKLOAD[0]])[0]
+            times[strategy] = time.perf_counter() - start
         signatures[strategy] = signature(result)
     assert signatures["indexed"] == signatures["naive"], (
-        "join strategies disagree on the solved spec"
+        "the grounders disagree on the solved spec"
     )
     return times
 

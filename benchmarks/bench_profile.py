@@ -5,7 +5,7 @@ Runs a profiling-enabled session (``profile="rules"``) over the family
 workload and records where the wall-clock actually goes: the coarse paper
 phases (setup / load / ground / solve) refined into the grounder's named
 stages (``ground.*`` for the shared base, ``delta.*`` per solve) plus the
-event counters (groundings run, portfolio races won, ...).  CI uploads the
+event counters (groundings run, ...).  CI uploads the
 resulting ``results/profile.*`` table as the per-stage timing artifact, so
 a grounding regression in a PR shows up as a stage delta, not just a fatter
 total.
@@ -49,7 +49,7 @@ REQUIRED_STAGE_PREFIXES = ("ground", "delta", "solve")
 
 def run_profiled(repo, workload):
     """Concretize ``workload`` under ``profile="rules"``; return the wall
-    time, session statistics, stage profile and total solver work."""
+    time, stage profile and total solver work."""
     clear_shared_bases()
     session = ConcretizationSession(
         repo=repo, share_ground_cache=False, profile="rules"
@@ -58,13 +58,12 @@ def run_profiled(repo, workload):
     results = session.solve(workload)
     wall = time.perf_counter() - start
     assert len(results) == len(workload)
-    stats = session.statistics()
-    asp = stats.get("asp") or {}
+    asp = session.statistics().get("asp") or {}
     search = {
         key: sum(result.statistics["solver"][key] for result in results)
         for key in ("decisions", "conflicts")
     }
-    return wall, stats, asp, search
+    return wall, asp, search
 
 
 def search_rows(search, label):
@@ -111,15 +110,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     failures = []
-    wall, stats, asp, search = run_profiled(micro_repo(), list(FAMILY_WORKLOAD_16))
+    wall, asp, search = run_profiled(micro_repo(), list(FAMILY_WORKLOAD_16))
     failures += check_profile(asp, "micro")
     rows = [
         ("catalog / workload", f"micro / {len(FAMILY_WORKLOAD_16)} specs"),
-        ("join strategy", stats.get("join_strategy", "?")),
     ] + search_rows(search, "micro") + stage_rows(asp, wall)
 
     if not args.quick:
-        heavy_wall, heavy_stats, heavy_asp, heavy_search = run_profiled(
+        heavy_wall, heavy_asp, heavy_search = run_profiled(
             solver_heavy_repo(), list(SOLVER_HEAVY_WORKLOAD)
         )
         failures += check_profile(heavy_asp, "solver-heavy")
@@ -129,7 +127,6 @@ def main(argv=None) -> int:
                 "catalog / workload",
                 f"solver-heavy / {len(SOLVER_HEAVY_WORKLOAD)} specs",
             ),
-            ("join strategy", heavy_stats.get("join_strategy", "?")),
         ] + search_rows(heavy_search, "solver-heavy") + stage_rows(heavy_asp, heavy_wall)
 
     record(

@@ -1,25 +1,25 @@
 #!/usr/bin/env python3
-"""Benchmark: warm-start latency — mmap snapshot attach vs pickle unpickle.
+"""Benchmark: warm-start latency — mmap snapshot attach vs a cold ground.
 
-The ISSUE-9 acceptance scenario, on the 320-package solver-heavy catalog:
-a first session grounds the ``synth-0296`` family cold and publishes the
-base both ways (pickle object graph and flat mmap snapshot); a second
-process then reaches warm state through each path.  Measured:
+On the 320-package solver-heavy catalog, a first session grounds the
+``synth-0296`` family cold and publishes its base as a flat mmap snapshot;
+fresh sessions then reach warm state two ways, each timed end to end
+(session construction plus one family solve, median and interquartile
+range of ``--repeats`` runs):
 
 * **cold ground** — no disk cache at all: the price being amortized;
-* **pickle unpickle** — warm start via the object-graph cache
-  (``snapshots=False``);
 * **snapshot attach** — warm start via ``GroundSnapshot`` (header-validated
-  mmap attach + lazy flat-buffer materialization);
+  mmap attach + lazy flat-buffer materialization).
 
-plus the raw store operations (``pickle.load`` vs attach vs materialize)
-on the very same cached base, isolated from solve time.  The run *asserts*
-the ISSUE-9 acceptance criterion — a snapshot **attach** (what every extra
-service worker pays to reach servable warm state; the flat-buffer decode
-is deferred until a solve actually needs the base) beats a pickle
-**unpickle** of the same base — and that all three warm-start paths give
-element-wise identical results.  The end-to-end warm solve rows are
-reported for context; they are dominated by identical solver work.
+Both paths must give element-wise identical results.  The end-to-end rows
+are dominated by identical solver work, so the run also times the raw
+store operations on the very same cached base, isolated from solve time:
+snapshot attach and materialize against ``pickle.load`` of a pickle of the
+same prepared program, written here for comparison only (sessions persist
+bases as snapshots alone).  The run *asserts* that a snapshot **attach**
+(what every extra service worker pays to reach servable warm state; the
+flat-buffer decode is deferred until a solve needs the base) beats a
+pickle **unpickle** of the same base.
 
 Run standalone (CI smoke uses ``--quick``)::
 
@@ -57,11 +57,9 @@ from repro.spack.concretize.session import clear_shared_bases  # noqa: E402
 WARM_PROBE = "synth-0296+opt2"
 
 
-def fresh_session(repo, cache_dir, **overrides) -> ConcretizationSession:
+def fresh_session(repo, cache_dir) -> ConcretizationSession:
     clear_shared_bases()
-    config = SessionConfig(
-        cache_dir=cache_dir, share_ground_cache=False, **overrides
-    )
+    config = SessionConfig(cache_dir=cache_dir, share_ground_cache=False)
     return ConcretizationSession(repo=repo, session_config=config)
 
 
@@ -70,14 +68,20 @@ def clear_solve_cache(cache_dir: str) -> None:
         os.unlink(path)
 
 
-def timed_warm_start(repo, cache_dir, **overrides):
+def timed_warm_start(repo, cache_dir):
     """Session construction + one family solve; returns (seconds, signature)."""
     clear_solve_cache(cache_dir)
     start = time.perf_counter()
-    session = fresh_session(repo, cache_dir, **overrides)
+    session = fresh_session(repo, cache_dir)
     result = session.solve([WARM_PROBE])[0]
     elapsed = time.perf_counter() - start
     return elapsed, repr(signature(result)), session
+
+
+def median_iqr(samples):
+    """(median, interquartile range) of at least two samples."""
+    q1, q2, q3 = statistics.quantiles(samples, n=4, method="inclusive")
+    return q2, q3 - q1
 
 
 def largest(pattern: str) -> str:
@@ -86,30 +90,27 @@ def largest(pattern: str) -> str:
     return max(paths, key=os.path.getsize)
 
 
-def run(repetitions: int):
+def run(repeats: int):
     repo = solver_heavy_repo()
     cache_dir = tempfile.mkdtemp(prefix="bench-snapshot-")
     cold_dir = tempfile.mkdtemp(prefix="bench-snapshot-cold-")
     try:
-        # seed: one cold run publishes the base as pickle AND snapshot
+        # seed: one cold run publishes the base as a snapshot
         seed = fresh_session(repo, cache_dir)
         seed.solve(list(SOLVER_HEAVY_WORKLOAD))
         assert seed.stats.snapshot_writes >= 1
+        # the same base pickled, for the raw unpickle comparison below
+        pickle_path = os.path.join(cache_dir, "base.pickle")
+        with open(pickle_path, "wb") as stream:
+            pickle.dump(seed._last_base.prepared, stream, pickle.HIGHEST_PROTOCOL)
 
-        cold_times, pickle_times, snap_times = [], [], []
+        cold_times, snap_times = [], []
         signatures = set()
-        for _ in range(repetitions):
+        for _ in range(repeats):
             shutil.rmtree(cold_dir, ignore_errors=True)
-            elapsed, sig, _ = timed_warm_start(repo, cold_dir)
+            elapsed, sig, session = timed_warm_start(repo, cold_dir)
+            assert session.stats.base_groundings == 1
             cold_times.append(elapsed)
-            signatures.add(sig)
-
-            elapsed, sig, session = timed_warm_start(
-                repo, cache_dir, snapshots=False
-            )
-            assert session.stats.base_disk_hits == 1
-            assert session.stats.base_groundings == 0
-            pickle_times.append(elapsed)
             signatures.add(sig)
 
             elapsed, sig, session = timed_warm_start(repo, cache_dir)
@@ -118,12 +119,11 @@ def run(repetitions: int):
             snap_times.append(elapsed)
             signatures.add(sig)
 
-        # all three warm-start paths answer identically
+        # both warm-start paths answer identically
         assert len(signatures) == 1, "warm-start paths disagree"
 
         # raw store operations on the same cached base, no solving at all
         # (best of 5: single readings are at the mercy of the page cache)
-        pickle_path = largest(os.path.join(cache_dir, "ground", "*.pkl"))
         snap_path = largest(os.path.join(cache_dir, "snapshot", "*.snap"))
         raw_pickle_s = raw_attach_s = raw_materialize_s = float("inf")
         for _ in range(5):
@@ -141,11 +141,13 @@ def run(repetitions: int):
             )
             snapshot.close()
 
-        med = statistics.median
+        cold_s, cold_iqr = median_iqr(cold_times)
+        snapshot_s, snapshot_iqr = median_iqr(snap_times)
         return {
-            "cold_s": med(cold_times),
-            "pickle_s": med(pickle_times),
-            "snapshot_s": med(snap_times),
+            "cold_s": cold_s,
+            "cold_iqr": cold_iqr,
+            "snapshot_s": snapshot_s,
+            "snapshot_iqr": snapshot_iqr,
             "raw_pickle_s": raw_pickle_s,
             "raw_attach_s": raw_attach_s,
             "raw_materialize_s": raw_materialize_s,
@@ -160,27 +162,33 @@ def run(repetitions: int):
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--quick", action="store_true",
-                        help="one repetition (CI smoke)")
+                        help="the minimum repeat count (CI smoke)")
+    parser.add_argument("--repeats", type=int, default=None,
+                        help="end-to-end runs per path (>= 5; default 5, "
+                             "or 9 without --quick)")
     args = parser.parse_args(argv)
-    repetitions = 1 if args.quick else 3
+    repeats = args.repeats or (5 if args.quick else 9)
+    if repeats < 5:
+        parser.error("--repeats must be at least 5")
 
-    timings = run(repetitions)
+    timings = run(repeats)
     rows = [
-        ["cold ground (no cache)", f"{timings['cold_s']:.3f}", "—"],
-        ["pickle unpickle", f"{timings['pickle_s']:.3f}",
-         f"{timings['cold_s'] / timings['pickle_s']:.1f}x"],
+        ["cold ground (no cache)", f"{timings['cold_s']:.3f}",
+         f"{timings['cold_iqr']:.3f}", "—"],
         ["snapshot attach", f"{timings['snapshot_s']:.3f}",
+         f"{timings['snapshot_iqr']:.3f}",
          f"{timings['cold_s'] / timings['snapshot_s']:.1f}x"],
-        ["raw pickle.load", f"{timings['raw_pickle_s']:.4f}", "—"],
-        ["raw snapshot attach (header)", f"{timings['raw_attach_s']:.4f}", "—"],
-        ["raw snapshot materialize", f"{timings['raw_materialize_s']:.4f}", "—"],
+        ["raw pickle.load", f"{timings['raw_pickle_s']:.4f}", "—", "—"],
+        ["raw snapshot attach (header)", f"{timings['raw_attach_s']:.4f}", "—", "—"],
+        ["raw snapshot materialize", f"{timings['raw_materialize_s']:.4f}", "—", "—"],
     ]
     record(
         "snapshot",
         "Warm-start latency, 320-package solver-heavy family "
-        f"(median of {repetitions}; pickle {timings['pickle_bytes']} B, "
+        f"(end to end: median and IQR of {repeats}; raw: best of 5; "
+        f"pickle {timings['pickle_bytes']} B, "
         f"snapshot {timings['snapshot_bytes']} B)",
-        ["path", "seconds", "vs cold"],
+        ["path", "seconds", "IQR", "vs cold"],
         rows,
     )
 
@@ -198,8 +206,7 @@ def main(argv=None) -> int:
         f"{timings['raw_pickle_s'] * 1e3:.2f}ms to a warm servable base "
         f"({timings['raw_pickle_s'] / timings['raw_attach_s']:.0f}x; full "
         f"materialize {timings['raw_materialize_s'] * 1e3:.2f}ms, warm solve "
-        f"{timings['snapshot_s']:.3f}s vs pickle {timings['pickle_s']:.3f}s "
-        f"vs cold {timings['cold_s']:.3f}s)"
+        f"{timings['snapshot_s']:.3f}s vs cold {timings['cold_s']:.3f}s)"
     )
     return 0
 

@@ -15,7 +15,7 @@ reproduced in shape, even though the underlying engine differs from clasp.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
-from typing import Dict, Tuple
+from typing import Dict
 
 
 def require_solver_config(
@@ -137,10 +137,10 @@ class SolverPreset:
     (including optimizer behaviour); a ``SolverPreset`` is just the
     :class:`~repro.asp.solver.CDCLSolver` constructor knobs, validated at
     construction so a bad request option fails fast with a clear message
-    instead of misbehaving deep inside search.  It is the unit the solver
-    portfolio races, the session config accepts, and the service exposes as
-    request options (``from_value`` accepts a preset name, a dict of knobs,
-    or another preset).
+    instead of misbehaving deep inside search.  It is what a per-request
+    ``preset=`` pins, and what the service exposes as request options
+    (``from_value`` accepts a :class:`SolverConfig` preset name, a dict of
+    knobs, or another preset).
     """
 
     heuristic: str = "vsids"
@@ -199,16 +199,10 @@ class SolverPreset:
         if isinstance(value, SolverConfig):
             return cls.from_config(value)
         if isinstance(value, str):
-            for preset in PORTFOLIO_PRESETS:
-                if preset.name == value:
-                    return preset
             try:
                 return cls.from_config(SolverConfig.preset(value))
             except KeyError as error:
-                lineup = ", ".join(p.name for p in PORTFOLIO_PRESETS)
-                raise ValueError(
-                    f"{error.args[0]} (portfolio presets: {lineup})"
-                ) from None
+                raise ValueError(error.args[0]) from None
         if isinstance(value, dict):
             known = {f.name for f in fields(cls)}
             unknown = set(value) - known
@@ -232,44 +226,3 @@ class SolverPreset:
             "var_decay": self.var_decay,
         }
 
-    def key(self) -> tuple:
-        """Deterministic identity tuple (cache keys, dedup, logging)."""
-        return (
-            self.heuristic,
-            self.default_phase,
-            self.restart_strategy,
-            self.restart_base,
-            round(float(self.var_decay), 6),
-        )
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "name": self.name,
-            "heuristic": self.heuristic,
-            "default_phase": self.default_phase,
-            "restart_strategy": self.restart_strategy,
-            "restart_base": self.restart_base,
-            "var_decay": self.var_decay,
-        }
-
-
-#: the default racing lineup: vsids/fixed decision heuristics crossed with
-#: luby/geometric restarts — four genuinely different search trajectories
-#: over the same ground program (see repro.asp.portfolio)
-PORTFOLIO_PRESETS: Tuple[SolverPreset, ...] = (
-    SolverPreset(heuristic="vsids", restart_strategy="luby", name="vsids-luby"),
-    SolverPreset(
-        heuristic="vsids",
-        restart_strategy="geometric",
-        restart_base=256,
-        var_decay=0.99,
-        name="vsids-geometric",
-    ),
-    SolverPreset(heuristic="fixed", restart_strategy="luby", name="fixed-luby"),
-    SolverPreset(
-        heuristic="fixed",
-        restart_strategy="geometric",
-        restart_base=128,
-        name="fixed-geometric",
-    ),
-)

@@ -26,7 +26,6 @@ from repro.asp.configs import SolverConfig, SolverPreset, require_solver_config
 from repro.asp.errors import SolveError
 from repro.asp.ground import GroundProgram
 from repro.asp.grounder import Grounder
-from repro.asp.naive import NaiveGrounder
 from repro.asp.optimization import OptimizationResult, Optimizer
 from repro.asp.parser import parse_program
 from repro.asp.solver import CDCLSolver
@@ -38,23 +37,6 @@ from repro.asp.syntax import Program, ground_atom
 #: cached Program objects are treated as immutable by all consumers.
 _PARSE_CACHE: Dict[str, Program] = {}
 _PARSE_CACHE_LIMIT = 32
-
-#: selectable grounding implementations: the indexed/planned grounder is the
-#: default; the tuple-at-a-time reference stays available as an oracle and as
-#: an escape hatch (sessions accept ``join_strategy="naive"``)
-GROUNDER_CLASSES = {"indexed": Grounder, "naive": NaiveGrounder}
-
-
-def grounder_class(join_strategy: str):
-    """Resolve a join-strategy name to a grounder class (ValueError on typo)."""
-    try:
-        return GROUNDER_CLASSES[join_strategy]
-    except KeyError:
-        known = ", ".join(sorted(GROUNDER_CLASSES))
-        raise ValueError(
-            f"unknown join strategy {join_strategy!r} (known: {known})"
-        ) from None
-
 
 def parse_program_cached(text: str) -> Program:
     """Parse ASP source text with per-process memoization.
@@ -131,13 +113,11 @@ class Control:
         self,
         config: Optional[SolverConfig] = None,
         preset: Optional[SolverPreset] = None,
-        join_strategy: str = "indexed",
         stats: Optional[ASPStats] = None,
     ):
         self.config = config or SolverConfig.preset("tweety")
-        #: explicit CDCL knobs override the config's (portfolio racing)
+        #: explicit CDCL knobs override the config's (per-request presets)
         self.preset = preset
-        self.join_strategy = join_strategy
         self.stats = stats
         self.timer = PhaseTimer()
         self.program = Program()
@@ -178,11 +158,7 @@ class Control:
     def ground(self) -> GroundProgram:
         """Ground the program against the accumulated facts ("ground" phase)."""
         with self.timer.phase("ground"):
-            grounder = grounder_class(self.join_strategy)(
-                self.program, self.extra_facts
-            )
-            if self.stats is not None and isinstance(grounder, Grounder):
-                grounder.stats = self.stats
+            grounder = Grounder(self.program, self.extra_facts, stats=self.stats)
             self.ground_program = grounder.ground()
         return self.ground_program
 
@@ -298,11 +274,11 @@ class PreparedProgram:
     mutates the clone, never the base (the ``forks`` counter and the solver
     template below are the exceptions).  Apart from the template, nothing
     here holds locks, file handles, threads, or other process-local
-    resources — just parsed syntax trees and interned ground atoms.  Parallel concretization sessions rely on both
-    consequences: ``os.fork()``-based worker pools inherit prepared programs
-    through copy-on-write memory and fork them concurrently, and the
-    persistent ground cache (:class:`repro.spack.store.PersistentGroundCache`)
-    pickles them to disk for later processes.
+    resources — just parsed syntax trees and interned ground atoms.
+    Parallel concretization sessions rely on that: ``os.fork()``-based
+    worker pools inherit prepared programs through copy-on-write memory and
+    fork them concurrently.  Later *processes* get them from flat ground
+    snapshots (:mod:`repro.asp.snapshot`).
 
     **Solver template.**  From its second fork on, a prepared program also
     keeps a :class:`~repro.asp.completion.SolverTemplate`: the base program
@@ -319,7 +295,6 @@ class PreparedProgram:
         base_facts: Sequence[Tuple] = (),
         config: Optional[SolverConfig] = None,
         possible_hints: Sequence[Tuple] = (),
-        join_strategy: str = "indexed",
         stats: Optional[ASPStats] = None,
         fact_source=None,
     ):
@@ -331,7 +306,6 @@ class PreparedProgram:
         """
         require_solver_config(config, "PreparedProgram")
         self.config = config or SolverConfig.preset("tweety")
-        self.join_strategy = join_strategy
         self.stats = stats
         self.timer = PhaseTimer()
         #: source text kept for flat snapshots (repro.asp.snapshot): an
@@ -342,28 +316,16 @@ class PreparedProgram:
             self.program = parse_program_cached(text)
         atoms = [ground_atom(*fact) for fact in base_facts]
         hints = [ground_atom(*hint) for hint in possible_hints]
-        cls = grounder_class(join_strategy)
         with self.timer.phase("ground"):
-            if cls is Grounder:
-                self._base = Grounder(
-                    self.program, atoms, possible_hints=hints, stats=stats
-                )
-                if fact_source is not None:
-                    streamed_hints = fact_source(self._base.fact_writer())
-                    if streamed_hints:
-                        self._base.add_possible_hints(
-                            ground_atom(*hint) for hint in streamed_hints
-                        )
-            else:
-                if fact_source is not None:
-                    streamed_hints = fact_source(
-                        lambda atom: atoms.append(ground_atom(*atom))
+            self._base = Grounder(
+                self.program, atoms, possible_hints=hints, stats=stats
+            )
+            if fact_source is not None:
+                streamed_hints = fact_source(self._base.fact_writer())
+                if streamed_hints:
+                    self._base.add_possible_hints(
+                        ground_atom(*hint) for hint in streamed_hints
                     )
-                    if streamed_hints:
-                        hints.extend(
-                            ground_atom(*hint) for hint in streamed_hints
-                        )
-                self._base = cls(self.program, atoms, possible_hints=hints)
             self._base.ground()
         self.forks = 0
 
@@ -399,7 +361,6 @@ class PreparedProgram:
         """
         layered = PreparedProgram.__new__(PreparedProgram)
         layered.config = self.config
-        layered.join_strategy = self.join_strategy
         layered.stats = self.stats
         layered.timer = PhaseTimer()
         layered.text = self.text
@@ -441,7 +402,6 @@ class PreparedProgram:
         control = Control(
             config=config or self.config,
             preset=preset,
-            join_strategy=self.join_strategy,
             stats=self.stats,
         )
         control.base_program = self.base_ground_program
@@ -453,12 +413,7 @@ class PreparedProgram:
         with control.timer.phase("ground"):
             grounder = self._base.clone()
             atoms = [ground_atom(*fact) for fact in extra_facts]
-            if isinstance(grounder, Grounder):
-                grounder.ground_delta(atoms, fact_source=fact_source)
-            else:
-                if fact_source is not None:
-                    fact_source(lambda atom: atoms.append(ground_atom(*atom)))
-                grounder.ground_delta(atoms)
+            grounder.ground_delta(atoms, fact_source=fact_source)
         control.adopt_ground(grounder.ground_program)
         return control
 

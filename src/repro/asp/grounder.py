@@ -9,8 +9,9 @@ from facts), which is exactly how the paper's generalized condition handling
 (``condition_requirement`` / ``imposed_constraint``) uses them.
 
 This is the **fast** implementation of that contract (the reference
-tuple-at-a-time implementation lives in :mod:`repro.asp.naive`, and property
-tests assert both derive the same programs).  Three ideas make it fast:
+tuple-at-a-time implementation lives with the tests, in
+``tests/asp/naive.py``, and equivalence tests assert both derive the same
+programs).  Three ideas make it fast:
 
 * **interned symbols** — every ground value is interned once into a
   per-lineage :class:`~repro.asp.symbols.SymbolTable`, so relations, join
@@ -1720,8 +1721,8 @@ class Grounder:
     def _rule_position(self, rule: Rule) -> int:
         """A pickle-stable identity for ``rule`` (its index in the program).
 
-        ``id(rule)`` would not survive a pickle round trip (the persistent
-        ground cache pickles grounders), so registry keys use positions.  The
+        ``id(rule)`` would not survive a pickle round trip (prepared
+        programs pickle their grounders), so registry keys use positions.  The
         id->position memo itself is process-local and dropped on pickling.
         """
         positions = self.__dict__.get("_rule_positions")

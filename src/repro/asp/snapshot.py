@@ -1,10 +1,10 @@
 """Flat, mmap-able snapshots of grounded :class:`PreparedProgram` bases.
 
-The persistent ground cache pickles prepared programs, which is compact but
-forces every process to rebuild the whole object graph before it can serve a
-single solve.  Since the grounder runs entirely over interned symbols
-(:mod:`repro.asp.symbols`), the ground state is really a handful of integer
-tables — so this module serializes it as one: a tagged symbol-value blob plus
+This is the one persisted form of a grounded base.  A pickle of the same
+prepared program would force every process to rebuild the whole object
+graph before it could serve a single solve.  Since the grounder runs
+entirely over interned symbols (:mod:`repro.asp.symbols`), the ground state
+is really a handful of integer tables — so this module serializes it as one: a tagged symbol-value blob plus
 contiguous ``int64`` buffers for the atom table, fact set, rule/constraint/
 choice/minimize streams, possible/certain relations, and the grounder's
 incremental-layering registries.
@@ -98,13 +98,10 @@ def snapshot_bytes(prepared: PreparedProgram, *, key: str = "") -> bytes:
     never be applied to the wrong catalog or cache format version.
 
     Raises :class:`SnapshotError` when the program is not snapshot-capable:
-    only the indexed :class:`~repro.asp.grounder.Grounder` is supported (the
-    naive oracle pickles fine and is not a production path), and the source
-    text must be available for the attaching process to reparse.
+    the source text must be available for the attaching process to reparse,
+    and every ground integer must fit the int64 payload.
     """
-    grounder = getattr(prepared, "_base", None)
-    if type(grounder) is not Grounder:
-        raise SnapshotError("only indexed-grounder programs are snapshottable")
+    grounder = prepared._base
     text = getattr(prepared, "text", None)
     if not isinstance(text, str):
         raise SnapshotError("prepared program has no source text")
@@ -266,7 +263,6 @@ def snapshot_bytes(prepared: PreparedProgram, *, key: str = "") -> bytes:
             "byteorder": sys.byteorder,
             "program": text,
             "config": asdict(prepared.config),
-            "join_strategy": prepared.join_strategy,
             "base_groundings": grounder.base_groundings,
             "delta_groundings": grounder.delta_groundings,
             "symbols": {"encoding": sym_encoding, "bytes": len(sym_blob)},
@@ -436,7 +432,6 @@ class GroundSnapshot:
 
         prepared = PreparedProgram.__new__(PreparedProgram)
         prepared.config = SolverConfig(**header["config"])
-        prepared.join_strategy = header["join_strategy"]
         prepared.stats = stats
         prepared.timer = PhaseTimer()
         prepared.text = header["program"]

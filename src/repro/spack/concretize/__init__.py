@@ -16,9 +16,9 @@ original greedy baseline.
   ``SessionConfig(workers=N)`` (or
   :class:`repro.spack.concretize.session.ParallelConcretizationSession`)
   fans per-spec solves out to a worker pool over the shared base, and
-  ``SessionConfig(cache_dir=...)`` persists the ground/solve caches — plus
-  mmap-able ground *snapshots* that a second process attaches near
-  zero-copy — on disk across processes (see ``docs/ARCHITECTURE.md`` and
+  ``SessionConfig(cache_dir=...)`` persists the solve cache and mmap-able
+  ground *snapshots*, which a second process attaches near zero-copy, on
+  disk across processes (see ``docs/ARCHITECTURE.md`` and
   ``docs/CACHING.md``).
 * :class:`repro.spack.concretize.async_session.AsyncConcretizationSession` —
   the ``asyncio`` front-end over the same machinery: ``await

@@ -224,7 +224,7 @@ class AsyncConcretizationSession:
 
         ``preset`` pins every solve in the batch to one validated
         :class:`~repro.asp.configs.SolverPreset` (same contract as
-        ``ConcretizationSession.solve``); it bypasses the portfolio race.
+        ``ConcretizationSession.solve``).
         """
         session = self.session
         if preset is not None:
@@ -301,16 +301,11 @@ class AsyncConcretizationSession:
                 # statistics (a concurrent call may be doing the same)
                 async with semaphore:
                     try:
-                        # race=True: off-thread state isolation is what
-                        # worker=True is for here; a portfolio race is still
-                        # welcome on the fallback thread (no pool to nest in).
-                        # Extra kwargs only when those features are active
-                        # (tests wrap _solve_uncached with the base signature)
+                        # preset only when given (tests wrap
+                        # _solve_uncached with the base signature)
                         kwargs = {"worker": True}
                         if preset is not None:
                             kwargs["preset"] = preset
-                        elif session.portfolio is not None:
-                            kwargs["race"] = True
                         concretization = await loop.run_in_executor(
                             self._fallback_pool(),
                             lambda: session._solve_uncached(unique[0], **kwargs),

@@ -2,8 +2,7 @@
 
 :class:`~repro.spack.concretize.session.ConcretizationSession` grew its
 execution knobs one keyword at a time — workers, backends, cache
-directories, disk budgets, join strategies, profiling, portfolios, snapshot
-behaviour.  Threading a dozen keyword arguments through every front-end
+directories, disk budgets, profiling.  Threading a dozen keyword arguments through every front-end
 (sync session, async session, HTTP service, CLI) made each new knob an
 N-signature change.  :class:`SessionConfig` collapses them into a single
 frozen dataclass that all front-ends accept via ``session_config=``::
@@ -19,16 +18,16 @@ callers migrate on their own schedule.  Mixing is allowed: explicit legacy
 kwargs override the corresponding ``session_config`` fields (the warning
 still fires).
 
-``SessionConfig`` is immutable (hashable whenever its ``portfolio`` value
-is), so it is safe to share one instance across sessions, services, and
-threads; derive variants with :func:`dataclasses.replace`.
+``SessionConfig`` is immutable and hashable, so it is safe to share one
+instance across sessions, services, and threads; derive variants with
+:func:`dataclasses.replace`.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, fields, replace
-from typing import Dict, Optional, Sequence, Union
+from dataclasses import dataclass, fields, replace
+from typing import Dict, Optional, Union
 
 from repro.asp.configs import SolverConfig, require_solver_config
 
@@ -59,41 +58,28 @@ class SessionConfig:
 
     *Persistence*
 
-    * ``cache_dir`` — directory for the persistent solve/ground/snapshot
-      layers; ``None`` (default) stays purely in-memory;
-    * ``persist_ground`` — set False to keep the solve cache on disk but
-      skip persisting grounded bases;
-    * ``snapshots`` — set False to skip the flat mmap-able ground snapshots
-      (``cache_dir`` then persists pickled bases only; see
-      ``docs/CACHING.md``);
+    * ``cache_dir`` — directory for the persistent solve cache and the
+      ground snapshots of grounded bases (see ``docs/CACHING.md``);
+      ``None`` (default) stays purely in-memory;
     * ``cache_max_entries`` / ``cache_max_bytes`` — LRU disk budgets,
       applied to each persistent layer;
     * ``share_ground_cache`` — set False to opt out of the process-wide
       in-memory grounded-base memo.
 
-    *Solver behaviour*
+    *Instrumentation*
 
-    * ``join_strategy`` — ``"indexed"`` (default) or ``"naive"`` (the
-      reference oracle grounder);
     * ``profile`` — ``True`` for per-stage grounding/solving timers,
-      ``"rules"`` to also time each rule;
-    * ``portfolio`` — race CDCL presets per solve: ``True`` for the default
-      lineup, an int for the first ``n`` presets, or a sequence of preset
-      values.
+      ``"rules"`` to also time each rule.
     """
 
     workers: Union[int, str] = 1
     worker_backend: str = "auto"
     max_concurrency: Optional[int] = None
     cache_dir: Optional[str] = None
-    persist_ground: bool = True
-    snapshots: bool = True
     cache_max_entries: Optional[int] = None
     cache_max_bytes: Optional[int] = None
     share_ground_cache: bool = True
-    join_strategy: str = "indexed"
     profile: Union[bool, str] = False
-    portfolio: Union[bool, int, Sequence] = field(default=False)
 
     def __post_init__(self):
         if self.workers != "auto" and int(self.workers) < 1:
@@ -119,14 +105,10 @@ LEGACY_SESSION_KWARGS: Dict[str, str] = {
     "worker_backend": "worker_backend",
     "max_concurrency": "max_concurrency",
     "cache_dir": "cache_dir",
-    "persist_ground": "persist_ground",
-    "snapshots": "snapshots",
     "cache_max_entries": "cache_max_entries",
     "cache_max_bytes": "cache_max_bytes",
     "share_ground_cache": "share_ground_cache",
-    "join_strategy": "join_strategy",
     "profile": "profile",
-    "portfolio": "portfolio",
 }
 
 _FIELD_NAMES = frozenset(f.name for f in fields(SessionConfig))

@@ -41,18 +41,16 @@ Two orthogonal extensions scale sessions beyond one process (see
 
 * **persistence** — ``SessionConfig(cache_dir=...)`` swaps the
   private in-memory :class:`~repro.spack.store.SolveCache` for a
-  :class:`~repro.spack.store.PersistentSolveCache` and adds a
-  :class:`~repro.spack.store.PersistentGroundCache` plus a flat mmap-able
-  :class:`~repro.spack.store.SnapshotStore` under ``_base_for``, so a
-  second process pointed at the same directory replays a warm batch with
-  zero grounding and zero solver calls — attaching the shared ground
-  snapshot near-zero-copy instead of unpickling an object graph where
-  possible.  All layers are keyed by the same content hashes as the
-  in-memory caches, so repo/preset/store changes invalidate disk entries
-  exactly like memory ones.
+  :class:`~repro.spack.store.PersistentSolveCache` and adds a flat
+  mmap-able :class:`~repro.spack.store.SnapshotStore` under ``_base_for``,
+  so a second process pointed at the same directory replays a warm batch
+  with zero grounding and zero solver calls, attaching the shared ground
+  snapshot near-zero-copy.  Both layers are keyed by the same content
+  hashes as the in-memory caches, so repo/preset/store changes invalidate
+  disk entries exactly like memory ones.
 
 Every execution knob (workers, backends, cache directories and budgets,
-join strategy, profiling, portfolio, snapshots) lives on one frozen
+profiling) lives on one frozen
 :class:`~repro.spack.concretize.config.SessionConfig` accepted by all
 front-ends via ``session_config=``; the historical per-knob keyword
 arguments still work and emit a :class:`DeprecationWarning` naming their
@@ -78,8 +76,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.asp.configs import SolverConfig, SolverPreset
-from repro.asp.control import PreparedProgram, grounder_class
-from repro.asp.portfolio import PortfolioSolver, resolve_presets
+from repro.asp.control import PreparedProgram
 from repro.asp.snapshot import SnapshotError
 from repro.asp.stats import ASPStats, Timer
 from repro.spack.architecture import Platform, default_platform
@@ -106,12 +103,7 @@ from repro.spack.errors import UnsatisfiableSpecError
 from repro.spack.repo import Repository, ShardedRepository, builtin_repository
 from repro.spack.spec import Spec
 from repro.spack.spec_parser import parse_spec
-from repro.spack.store import (
-    PersistentGroundCache,
-    PersistentSolveCache,
-    SnapshotStore,
-    SolveCache,
-)
+from repro.spack.store import PersistentSolveCache, SnapshotStore, SolveCache
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +286,6 @@ class _GroundedBase:
         self.prepared = PreparedProgram(
             logic_program(),
             config=session.config,
-            join_strategy=session.join_strategy,
             stats=session.asp_stats,
             fact_source=stream_base,
         )
@@ -320,7 +311,7 @@ class _GroundedBase:
             else:
                 self.layers_replayed_memory = start
             # write-through, so warm starts find the replayed prefix on disk
-            session._persist_layer(keys[index], prepared)
+            session._persist_snapshot(keys[index], prepared)
             break
         for index in range(start, len(layers)):
             layer = layers[index]
@@ -330,14 +321,13 @@ class _GroundedBase:
                     layer.facts,
                     config=session.config,
                     possible_hints=layer.hints,
-                    join_strategy=session.join_strategy,
                     stats=session.asp_stats,
                 )
             else:
                 prepared = prepared.extend(layer.facts, possible_hints=layer.hints)
             self.layers_grounded += 1
             session._remember_layer(keys[index], prepared)
-            session._persist_layer(keys[index], prepared)
+            session._persist_snapshot(keys[index], prepared)
         self.prepared = prepared
 
     @classmethod
@@ -463,10 +453,10 @@ class SessionStatistics:
     base_groundings: int = 0
     #: how many times a memoized grounded base was reused instead
     base_cache_hits: int = 0
-    #: how many grounded bases were loaded from the on-disk ground cache
+    #: how many grounded bases were loaded from on-disk ground snapshots
     base_disk_hits: int = 0
-    #: disk loads (monolithic bases or shard-layer prefixes) that *attached*
-    #: a flat mmap snapshot instead of unpickling an object graph
+    #: disk loads (monolithic bases or shard-layer prefixes) that attached
+    #: a flat mmap snapshot
     snapshot_attaches: int = 0
     #: flat snapshots this session wrote through to disk
     snapshot_writes: int = 0
@@ -474,7 +464,7 @@ class SessionStatistics:
     shard_layers_grounded: int = 0
     #: sharded repositories: layers replayed from the in-memory prefix memo
     shard_layers_replayed: int = 0
-    #: sharded repositories: layers replayed from the on-disk ground cache
+    #: sharded repositories: layers replayed from on-disk ground snapshots
     shard_layers_disk: int = 0
     #: solves that forked the base and ground only their delta facts
     delta_groundings: int = 0
@@ -516,12 +506,12 @@ class ConcretizationSession:
     Execution knobs live on one frozen
     :class:`~repro.spack.concretize.config.SessionConfig` passed as
     ``session_config=`` — parallelism (``workers``, ``worker_backend``),
-    persistence (``cache_dir``, ``persist_ground``, ``snapshots``,
-    ``cache_max_entries`` / ``cache_max_bytes``, ``share_ground_cache``),
-    and solver behaviour (``join_strategy``, ``profile``, ``portfolio``);
-    see :class:`SessionConfig` for per-knob semantics.  The historical
-    per-knob keyword arguments are still accepted (each maps 1:1 onto a
-    config field, overrides it, and emits a :class:`DeprecationWarning`).
+    persistence (``cache_dir``, ``cache_max_entries`` /
+    ``cache_max_bytes``, ``share_ground_cache``), and instrumentation
+    (``profile``); see :class:`SessionConfig` for per-knob semantics.  The
+    historical per-knob keyword arguments are still accepted (each maps 1:1
+    onto a config field, overrides it, and emits a
+    :class:`DeprecationWarning`).
     Problem inputs stay explicit parameters, mirroring
     :class:`Concretizer`, plus:
 
@@ -531,10 +521,9 @@ class ConcretizationSession:
       ``session_config.cache_dir`` is given).
 
     With a ``cache_dir``, solved results are written through as versioned
-    JSON, grounded bases as versioned pickles, and (for the indexed
-    grounder) additionally as flat mmap-able ground snapshots
+    JSON and grounded bases as flat mmap-able ground snapshots
     (:class:`repro.spack.store.SnapshotStore`) that later *processes*
-    attach near-zero-copy instead of unpickling; see ``docs/CACHING.md``.
+    attach near-zero-copy; see ``docs/CACHING.md``.
     """
 
     def __init__(
@@ -572,23 +561,13 @@ class ConcretizationSession:
             )
         else:
             self.solve_cache = SolveCache()
-        persist = cache_dir is not None and cfg.persist_ground
-        self.ground_cache: Optional[PersistentGroundCache] = (
-            PersistentGroundCache(
-                cache_dir,
-                max_entries=cfg.cache_max_entries,
-                max_bytes=cfg.cache_max_bytes,
-            )
-            if persist
-            else None
-        )
         self.snapshot_store: Optional[SnapshotStore] = (
             SnapshotStore(
                 cache_dir,
                 max_entries=cfg.cache_max_entries,
                 max_bytes=cfg.cache_max_bytes,
             )
-            if persist and cfg.snapshots
+            if cache_dir is not None
             else None
         )
         self.share_ground_cache = cfg.share_ground_cache
@@ -596,15 +575,9 @@ class ConcretizationSession:
             default_worker_count() if cfg.workers == "auto" else int(cfg.workers)
         )
         self.worker_backend = cfg.worker_backend
-        grounder_class(cfg.join_strategy)  # validate eagerly (raises ValueError)
-        self.join_strategy = cfg.join_strategy
         self.profile = cfg.profile
         self.asp_stats: Optional[ASPStats] = (
             ASPStats(per_rule=(cfg.profile == "rules")) if cfg.profile else None
-        )
-        presets = resolve_presets(cfg.portfolio)
-        self.portfolio: Optional[PortfolioSolver] = (
-            PortfolioSolver(presets, stats=self.asp_stats) if presets else None
         )
         self.stats = SessionStatistics()
         self._content_hash: Optional[str] = None
@@ -619,10 +592,8 @@ class ConcretizationSession:
         # batch's demand so the local base memo cannot LRU-evict a
         # pre-grounded base while any concurrent solve() still needs it
         self._base_demands: Dict[int, int] = {}
-        # base keys known to have a valid disk ground-cache entry (avoids a
-        # probe per solve)
-        self._ground_persisted: set = set()
-        # likewise for the flat snapshot layer
+        # base keys known to have a valid snapshot on disk (avoids a probe
+        # per solve)
         self._snapshot_persisted: set = set()
 
     # ------------------------------------------------------------------
@@ -680,7 +651,6 @@ class ConcretizationSession:
         prefix = (
             "shard-layer",
             self.context_token(),
-            self.join_strategy,
             self._store_token(),
             repo.providers_digest(),
             frozenset(encoder.possible_packages),
@@ -705,21 +675,11 @@ class ConcretizationSession:
                 self._local_layers[key] = prepared
                 return prepared, "memory"
         if self.snapshot_store is not None:
-            # flat snapshot first (same preference as the monolithic path);
-            # an attached layer is already on disk in its preferred form, so
-            # the pickle write-through is skipped for it as well
             prepared = self._materialize_snapshot(key)
             if prepared is not None:
                 self._snapshot_persisted.add(key)
-                self._ground_persisted.add(key)
                 self._remember_layer(key, prepared)
                 return prepared, "disk"
-        if self.ground_cache is not None:
-            loaded = self.ground_cache.get(key)
-            if isinstance(loaded, PreparedProgram):  # reject foreign payloads
-                self._ground_persisted.add(key)
-                self._remember_layer(key, loaded)
-                return loaded, "disk"
         return None
 
     def _remember_layer(self, key: Tuple, prepared: PreparedProgram) -> None:
@@ -731,23 +691,15 @@ class ConcretizationSession:
             while len(_SHARED_LAYERS) > _SHARED_LAYERS_LIMIT:
                 _SHARED_LAYERS.popitem(last=False)
 
-    def _persist_layer(self, key: Tuple, prepared: PreparedProgram) -> None:
-        """Write a prefix program through to disk (validated, self-healing).
-
-        Mirrors the monolithic write-through: even a prefix replayed from a
-        process-wide memo is persisted if the directory lacks a valid entry,
-        so warm starts always find every prefix this session used — as a
-        flat snapshot (preferred) and as a pickle.
-        """
-        self._persist_snapshot(key, prepared)
-        if self.ground_cache is None or key in self._ground_persisted:
-            return
-        if not isinstance(self.ground_cache.get(key), PreparedProgram):
-            self.ground_cache.put(key, prepared)
-        self._ground_persisted.add(key)
-
     def _persist_snapshot(self, key: Tuple, prepared: PreparedProgram) -> None:
-        """Write a flat snapshot through to disk (validated, self-healing)."""
+        """Write a flat snapshot through to disk (validated, self-healing).
+
+        A base or prefix that came from an in-memory memo (e.g. grounded by
+        a session without a ``cache_dir``) is written too, so warm starts
+        find every base this session used.  The probe is a validated attach,
+        not a bare existence check, so damaged or version-skewed files are
+        overwritten and the cache heals itself.
+        """
         if self.snapshot_store is None or key in self._snapshot_persisted:
             return
         if not self.snapshot_store.has_valid(key):
@@ -788,11 +740,6 @@ class ConcretizationSession:
             result["snapshot_store"] = self.snapshot_store.statistics()
         if self._last_base is not None:
             result["base"] = self._last_base.statistics()
-        result["join_strategy"] = self.join_strategy
-        if self.portfolio is not None:
-            result["portfolio"] = [
-                preset.to_dict() for preset in self.portfolio.presets
-            ]
         if self.asp_stats is not None:
             result["asp"] = self.asp_stats.as_dict()
         return result
@@ -832,23 +779,11 @@ class ConcretizationSession:
             if base is not None:
                 _SHARED_BASES.move_to_end(key)
                 self.stats.base_cache_hits += 1
-        from_snapshot = False
         if base is None and self.snapshot_store is not None and not sharded:
-            # flat snapshots first: attaching is O(header) + a lazy decode,
-            # cheaper than walking a pickled object graph of the same base
             base = self._attach_snapshot(key, abstract)
             if base is not None:
-                from_snapshot = True
                 self.stats.base_disk_hits += 1
                 self._snapshot_persisted.add(key)
-        probed_disk = False
-        if base is None and self.ground_cache is not None and not sharded:
-            probed_disk = True
-            loaded = self.ground_cache.get(key)
-            if isinstance(loaded, _GroundedBase):  # reject foreign payloads
-                base = loaded
-                self.stats.base_disk_hits += 1
-                self._ground_persisted.add(key)
         if base is None:
             base = _GroundedBase(self, abstract)
             if base.layers_total:
@@ -865,30 +800,8 @@ class ConcretizationSession:
                     self.stats.base_cache_hits += 1
             else:
                 self.stats.base_groundings += 1
-        if (
-            self.ground_cache is not None
-            and not sharded
-            and not from_snapshot
-            and key not in self._ground_persisted
-        ):
-            # Write through even when the base came from an in-memory memo
-            # (e.g. grounded by a cache_dir-less session): warm starts must
-            # find every base this session used on disk.  The probe is a
-            # *validated* load (not a bare existence check), so corrupted or
-            # version-skewed entries get overwritten — the cache self-heals.
-            # (Sharded bases persist per chain prefix instead, inside
-            # _GroundedBase._build_layered; snapshot-attached bases are
-            # already on disk in their preferred form.)
-            if probed_disk or not isinstance(
-                self.ground_cache.get(key), _GroundedBase
-            ):
-                self.ground_cache.put(key, base)
-            self._ground_persisted.add(key)
         if not sharded:
-            # Same write-through contract for the flat snapshot beside the
-            # pickle: a validated attach probe, so damaged or skewed files
-            # are overwritten and the layer self-heals.  (Sharded bases
-            # snapshot per chain prefix inside _persist_layer.)
+            # sharded bases persist per chain prefix, in _build_layered
             self._persist_snapshot(key, base.prepared)
         if self.share_ground_cache:
             _SHARED_BASES[key] = base
@@ -914,7 +827,6 @@ class ConcretizationSession:
     def _base_key(self, abstract: Sequence[Spec]) -> Tuple:
         return (
             self.content_hash(),
-            self.join_strategy,
             self._store_token(),
             self._possible_packages(abstract),
         )
@@ -956,7 +868,7 @@ class ConcretizationSession:
         or dict; see :meth:`SolverPreset.from_value`).  Extracted results
         are preset-invariant (the optimization criteria pin a unique
         optimum — property-tested), so the solve cache is shared across
-        presets and an explicit preset also bypasses the portfolio race.
+        presets.
         """
         if preset is not None:
             preset = SolverPreset.from_value(preset)
@@ -978,7 +890,6 @@ class ConcretizationSession:
         spec: Spec,
         worker: bool = False,
         preset: Optional[SolverPreset] = None,
-        race: Optional[bool] = None,
     ) -> ConcretizationResult:
         """One full solve, bypassing the solve cache (shared base + delta).
 
@@ -1012,16 +923,7 @@ class ConcretizationSession:
             config=self.config, preset=preset, fact_source=stream_delta
         )
         control.timer.add("setup", setup_timer.elapsed)
-
-        # Race the portfolio unless an explicit preset pins the heuristics
-        # or this is a pool worker (never nest a race inside a pool; the
-        # async fallback-thread path opts back in via ``race=True``).
-        if race is None:
-            race = not worker
-        if self.portfolio is not None and race and preset is None:
-            result = self.portfolio.solve(control)
-        else:
-            result = control.solve()
+        result = control.solve()
         statistics: Dict[str, object] = {
             "encoding": encoder.stats.as_dict(),
             **result.statistics,

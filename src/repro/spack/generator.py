@@ -53,8 +53,8 @@ def _make_package_class(
     cls = PackageMeta(f"Synthetic_{name.replace('-', '_')}", (Package,), {"name": name})
     # Register the class as a real module attribute: dynamically created
     # classes are only picklable when ``pickle`` can resolve them by
-    # ``__module__.__qualname__``, and the persistent ground cache pickles
-    # base programs whose spec graphs reference these classes.  Same-name
+    # ``__module__.__qualname__``, and a pickled base program references
+    # these classes through its spec graph.  Same-name
     # rebuilds (same seed) simply re-register an equivalent class.
     cls.__module__ = __name__
     cls.__qualname__ = cls.__name__

@@ -33,9 +33,7 @@ def main(argv=None) -> int:
     parser.add_argument("--deadline", type=float, default=30.0,
                         help="default per-request deadline in seconds")
     parser.add_argument("--cache-dir", default=None,
-                        help="persistent solve/ground/snapshot cache directory")
-    parser.add_argument("--no-snapshots", action="store_true",
-                        help="disable mmap ground snapshots (pickle cache only)")
+                        help="persistent solve-cache and ground-snapshot directory")
     parser.add_argument("--quiet", action="store_true")
     args = parser.parse_args(argv)
 
@@ -43,10 +41,7 @@ def main(argv=None) -> int:
         parser.error("--workers > 1 requires --cache-dir (workers share warm "
                      "state through the snapshot cache on disk)")
 
-    session_config = SessionConfig(
-        cache_dir=args.cache_dir,
-        snapshots=not args.no_snapshots,
-    )
+    session_config = SessionConfig(cache_dir=args.cache_dir)
 
     def service_factory() -> ConcretizationService:
         return ConcretizationService(

@@ -249,7 +249,7 @@ class ConcretizationService:
     * ``retry_after_s`` — the hint returned with 429 responses;
     * ``session_config`` — a :class:`~repro.spack.concretize.SessionConfig`
       applied to every tenant session (``cache_dir`` for warm restarts and
-      shared snapshots, ``join_strategy``, cache bounds, ...).  The service
+      shared snapshots, cache bounds, ``profile``, ...).  The service
       resolves a ``worker_backend`` of ``"auto"`` to ``"thread"``: the
       service process runs many transport threads, and forking a process
       pool out of a threaded server is a foot-gun;

@@ -16,13 +16,10 @@ sessions (:mod:`repro.spack.concretize.session`) layer on top of the store:
 * :class:`PersistentSolveCache` — the same interface, spilled to a cache
   directory as versioned JSON so a *second process* can replay an entire
   batch with zero solver calls;
-* :class:`PersistentGroundCache` — an on-disk (pickle) cache of grounded
-  base programs, so warm processes skip re-grounding the shared
-  spec-independent fact layer;
-* :class:`SnapshotStore` — flat, mmap-able ground snapshots
-  (:mod:`repro.asp.snapshot`) written beside the pickle entries, so N
-  service processes *attach* one shared warm base with near-zero-copy
-  startup instead of each unpickling its own object graph.
+* :class:`SnapshotStore` — the persisted form of grounded base programs:
+  flat, mmap-able ground snapshots (:mod:`repro.asp.snapshot`), so warm
+  processes skip re-grounding the shared spec-independent fact layer and N
+  service processes *attach* one shared warm base near-zero-copy.
 
 All persistent layers share the invariants documented in ``docs/CACHING.md``:
 content-hash keys (never mtimes), a :data:`CACHE_FORMAT_VERSION` field in
@@ -38,7 +35,6 @@ import errno
 import hashlib
 import json
 import os
-import pickle
 import tempfile
 import threading
 import time
@@ -53,7 +49,7 @@ from repro.spack.spec_parser import parse_spec
 #: serialized layout (or the semantics of what is cached) changes; readers
 #: treat any other version as a miss, so old and new code can share one cache
 #: directory without ever exchanging garbage.
-CACHE_FORMAT_VERSION = 4
+CACHE_FORMAT_VERSION = 5
 
 #: Age after which an orphaned ``.tmp`` file (an interrupted writer's
 #: leftover) may be reaped by budgeted pruning; generous enough that no
@@ -313,8 +309,9 @@ class _DiskCacheLayer:
     """The envelope logic shared by every on-disk cache flavor.
 
     One file per key under ``<cache_dir>/<subdir>/<sha256(token)><suffix>``,
-    each holding ``{"version", "key", "payload"}`` through a pluggable codec
-    (JSON for results, pickle for ground programs).  :meth:`load` classifies
+    each holding ``{"version", "key", "payload"}`` through a codec (JSON for
+    results; snapshots bring their own byte layout and use only the path
+    mapping and pruning).  :meth:`load` classifies
     every outcome so callers count uniformly:
 
     * ``("hit", payload)`` — complete, current-version, matching-key entry;
@@ -468,16 +465,6 @@ class _JsonCodec:
         return json.loads(data.decode("utf-8"))
 
 
-class _PickleCodec:
-    @staticmethod
-    def dumps(envelope: Dict) -> bytes:
-        return pickle.dumps(envelope, protocol=pickle.HIGHEST_PROTOCOL)
-
-    @staticmethod
-    def loads(data: bytes) -> Dict:
-        return pickle.loads(data)
-
-
 class PersistentSolveCache(SolveCache):
     """A :class:`SolveCache` that spills solved results to a cache directory.
 
@@ -627,104 +614,10 @@ class PersistentSolveCache(SolveCache):
         )
 
 
-class PersistentGroundCache:
-    """An on-disk cache of grounded base programs (pickle, trusted-local).
-
-    Sessions use it to persist the expensive artifact behind
-    :class:`~repro.asp.control.PreparedProgram`: the shared spec-independent
-    grounding that every solve forks.  Keys embed the session content hash
-    (repository + platform + compilers + solver preset + logic program), the
-    store token, and the possible-package family, so any input change makes a
-    new key and old entries simply stop being read.
-
-    Values are arbitrary picklable objects; files live under
-    ``<cache_dir>/ground/<sha256(key)>.pkl`` with the same version field,
-    atomic-write, and corruption-tolerance rules as
-    :class:`PersistentSolveCache`.  Pickle is used because ground programs
-    are large graphs of interned atoms — treat the cache directory as
-    trusted local state (it is written and read only by this machine's own
-    sessions), not as an interchange format.
-
-    With ``max_entries`` / ``max_bytes`` set, every write prunes the ground
-    store back under the budgets in least-recently-used order (never the
-    entry just written); evictions are tallied in :meth:`statistics`.
-    """
-
-    def __init__(
-        self,
-        cache_dir: str,
-        persist: bool = True,
-        max_entries: Optional[int] = None,
-        max_bytes: Optional[int] = None,
-    ):
-        self.cache_dir = cache_dir
-        self.persist = persist
-        self._disk = _DiskCacheLayer(
-            cache_dir,
-            "ground",
-            ".pkl",
-            _PickleCodec,
-            max_entries=max_entries,
-            max_bytes=max_bytes,
-        )
-        self.hits = 0
-        self.misses = 0
-        self.load_errors = 0
-        self.writes = 0
-        self.write_errors = 0
-        self.evictions = 0
-        # counters only (the disk layer itself is concurrency-safe through
-        # atomic writes); memory-only critical sections, like SolveCache
-        self._lock = threading.RLock()
-
-    def get(self, key: Hashable):
-        """The cached object for ``key``, or None (on any miss or error)."""
-        if not self.persist:
-            return None
-        status, payload = self._disk.load(cache_key_token(key))
-        with self._lock:
-            if status == "hit":
-                self.hits += 1
-                return payload
-            if status == "error":
-                self.load_errors += 1
-            self.misses += 1
-            return None
-
-    def put(self, key: Hashable, value) -> None:
-        """Persist ``value`` under ``key`` (best effort; never raises)."""
-        if not self.persist:
-            return
-        ok, evicted = self._disk.store(cache_key_token(key), value)
-        with self._lock:
-            if ok:
-                self.writes += 1
-                self.evictions += evicted
-            else:
-                self.write_errors += 1
-
-    def statistics(self) -> Dict[str, int]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "load_errors": self.load_errors,
-            "writes": self.writes,
-            "write_errors": self.write_errors,
-            "evictions": self.evictions,
-        }
-
-    def __repr__(self):
-        return (
-            f"<PersistentGroundCache at {self.cache_dir!r}, "
-            f"{self.hits} hits / {self.misses} misses>"
-        )
-
-
 class SnapshotStore:
-    """On-disk, mmap-able ground snapshots beside the pickle ground cache.
+    """On-disk, mmap-able ground snapshots: the persisted grounded bases.
 
-    Where :class:`PersistentGroundCache` pickles whole prepared-program
-    object graphs, this store writes the flat binary form produced by
+    The store writes the flat binary form produced by
     :func:`repro.asp.snapshot.snapshot_bytes` under
     ``<cache_dir>/snapshot/<sha256(token)>.snap`` — one file per base, safe
     for any number of concurrent readers because attaching maps it
@@ -744,12 +637,10 @@ class SnapshotStore:
     def __init__(
         self,
         cache_dir: str,
-        persist: bool = True,
         max_entries: Optional[int] = None,
         max_bytes: Optional[int] = None,
     ):
         self.cache_dir = cache_dir
-        self.persist = persist
         # no codec: the snapshot module owns the byte layout; this layer
         # reuses only the path mapping and LRU pruning machinery
         self._disk = _DiskCacheLayer(
@@ -785,8 +676,6 @@ class SnapshotStore:
         the caller materializes it (and must be treated as a cold ground —
         sessions do, via :meth:`note_load_error`).
         """
-        if not self.persist:
-            return None
         from repro.asp.snapshot import GroundSnapshot, SnapshotError
 
         token = self._token(key)
@@ -808,8 +697,6 @@ class SnapshotStore:
         """Whether a validated snapshot exists for ``key`` (a silent attach
         probe: no counters move, so write-through existence checks do not
         skew the attach/miss statistics that ``/v1/stats`` reports)."""
-        if not self.persist:
-            return False
         from repro.asp.snapshot import GroundSnapshot, SnapshotError
 
         token = self._token(key)
@@ -840,16 +727,14 @@ class SnapshotStore:
 
     def put(self, key: Hashable, prepared) -> bool:
         """Encode and persist ``prepared`` under ``key`` (best effort)."""
-        if not self.persist:
-            return False
         from repro.asp.snapshot import SnapshotError, snapshot_bytes
 
         token = self._token(key)
         try:
             payload = snapshot_bytes(prepared, key=token)
         except SnapshotError:
-            # not snapshot-capable (naive grounder, exotic state): not an
-            # I/O failure, so it does not count against write_errors
+            # not snapshot-capable (no source text, a ground integer beyond
+            # int64): not an I/O failure, so not a write error either
             return False
         try:
             path = self._disk.path_for(token)

@@ -1,15 +1,20 @@
-"""Reference (naive-join) grounder, kept verbatim as the equivalence oracle.
+"""Reference (naive-join) grounder: the join-equivalence oracle.
 
-This module preserves the pre-indexed-join grounder: tuple-at-a-time joins
-over dict substitutions with only a first-column index.  It exists for two
-reasons:
+This is the grounder as it was before the indexed joins of
+:mod:`repro.asp.grounder`: tuple-at-a-time joins over dict substitutions
+with only a first-column index.  It lives with the tests because it is not
+a production path; it exists for two reasons:
 
-* **oracle** — property tests assert that the fast grounder in
-  :mod:`repro.asp.grounder` (interned symbols, compiled join plans,
-  argument-position hash indexes) derives exactly the same certain facts,
-  possible atoms, and stable models (``tests/asp/test_join_equivalence.py``);
-* **baseline** — benchmarks measure the indexed grounder against this
-  implementation (``join_strategy="naive"``) to quantify the speedup.
+* **oracle** — the equivalence tests assert that the fast grounder
+  (interned symbols, compiled join plans, argument-position hash indexes)
+  derives exactly the same certain facts, possible atoms, and stable models
+  (``tests/concretize/test_join_equivalence.py``);
+* **baseline** — ``benchmarks/bench_parallel_session.py`` times the indexed
+  grounder against this implementation to quantify the speedup.
+
+Both substitute it for ``repro.asp.control.Grounder`` (see
+:func:`substituted`), so it keeps the constructor, streaming and delta
+interface that :class:`~repro.asp.control.PreparedProgram` drives.
 
 The grounder instantiates safe rules by joining positive body literals against
 the database of *possible* atoms (an over-approximation of everything that can
@@ -22,8 +27,10 @@ from facts), which is exactly how the paper's generalized condition handling
 
 from __future__ import annotations
 
+import contextlib
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
+import repro.asp.control
 from repro.asp.errors import GroundingError
 from repro.asp.ground import (
     GroundChoice,
@@ -47,6 +54,7 @@ from repro.asp.syntax import (
     String,
     Variable,
     evaluate_term,
+    ground_atom,
     term_is_ground,
     term_variables,
 )
@@ -227,8 +235,12 @@ class NaiveGrounder:
         program: Program,
         extra_facts: Sequence[tuple] = (),
         possible_hints: Sequence[tuple] = (),
+        stats=None,
     ):
+        # ``stats`` is accepted (and carried) for interface parity with the
+        # indexed grounder; this one times nothing
         self.program = program
+        self.stats = stats
         self.ground_program = GroundProgram()
         self.possible = _AtomDatabase()
         self.certain = _AtomDatabase()
@@ -256,6 +268,13 @@ class NaiveGrounder:
 
     # -- public API ---------------------------------------------------------
 
+    def add_possible_hints(self, hints) -> None:
+        self._possible_hints.extend(hints)
+
+    def fact_writer(self):
+        """A base-layer fact sink (call before :meth:`ground`)."""
+        return lambda atom: self._extra_facts.append(ground_atom(*atom))
+
     def ground(self) -> GroundProgram:
         facts, rules, constraints = self._split_statements()
         for rule in rules + constraints:
@@ -276,7 +295,7 @@ class NaiveGrounder:
         self.base_groundings += 1
         return self.ground_program
 
-    def clone(self) -> "Grounder":
+    def clone(self) -> "NaiveGrounder":
         """Fork the complete grounding state (program objects are shared).
 
         The clone can be extended with :meth:`ground_delta` without touching
@@ -284,12 +303,11 @@ class NaiveGrounder:
         never mutates ``self`` — only plain data structures are copied and
         the immutable program/ASTs are shared — so concurrent clones of one
         base grounder are safe from threads and from ``os.fork()``-ed worker
-        processes alike (the parallel session's workers do exactly that),
-        and a fully grounded ``Grounder`` is picklable for the on-disk
-        ground cache.
+        processes alike.
         """
         other = NaiveGrounder.__new__(NaiveGrounder)
         other.program = self.program
+        other.stats = self.stats
         other.ground_program = self.ground_program.copy()
         other.possible = self.possible.copy()
         other.certain = self.certain.copy()
@@ -308,8 +326,9 @@ class NaiveGrounder:
 
     def ground_delta(
         self,
-        extra_facts: Sequence[tuple],
+        extra_facts: Sequence[tuple] = (),
         possible_hints: Sequence[tuple] = (),
+        fact_source=None,
     ) -> GroundProgram:
         """Ground additional facts on top of a completed :meth:`ground`.
 
@@ -319,7 +338,11 @@ class NaiveGrounder:
         is not re-derived.  ``possible_hints`` are additional layer-local
         possibility seeds with the same semantics as the constructor's: they
         become possible (and seed joins) without becoming facts.
+        ``fact_source`` streams more facts through a ``write(atom)`` sink.
         """
+        extra_facts = list(extra_facts)
+        if fact_source is not None:
+            fact_source(lambda atom: extra_facts.append(ground_atom(*atom)))
         if self._components is None:
             self._extra_facts.extend(extra_facts)
             self._possible_hints.extend(possible_hints)
@@ -988,3 +1011,16 @@ def _tarjan_sccs(graph: Dict[str, Set[str]]) -> List[List[str]]:
     return components
 
 
+
+
+@contextlib.contextmanager
+def substituted():
+    """Run the block with :class:`NaiveGrounder` standing in for
+    ``repro.asp.control.Grounder``: every :class:`Control` and
+    :class:`PreparedProgram` built inside grounds with the oracle."""
+    original = repro.asp.control.Grounder
+    repro.asp.control.Grounder = NaiveGrounder
+    try:
+        yield
+    finally:
+        repro.asp.control.Grounder = original

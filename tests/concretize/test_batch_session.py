@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.asp.configs import SolverConfig
+from repro.asp.configs import SolverConfig, SolverPreset
 from repro.spack.concretize import ConcretizationSession, Concretizer
 from repro.spack.concretize.session import clear_shared_bases
 from repro.spack.directives import depends_on, provides, variant, version
@@ -271,3 +271,80 @@ def test_store_contents_change_solve_keys(micro_repo):
     key_before = session._solve_key(spec)
     store.install(Concretizer(repo=micro_repo).concretize("example").spec)
     assert session._solve_key(spec) != key_before
+
+
+# ---------------------------------------------------------------------------
+# Per-request solver presets
+# ---------------------------------------------------------------------------
+
+#: one request preset of each accepted form: a SolverConfig preset name, a
+#: knob dict, and a SolverPreset instance
+REQUEST_PRESETS = [
+    "frumpy",
+    {"heuristic": "fixed", "restart_strategy": "geometric", "restart_base": 128},
+    SolverPreset(
+        heuristic="vsids", restart_strategy="geometric", restart_base=256, var_decay=0.99
+    ),
+]
+
+
+def fresh_session(micro_repo):
+    clear_shared_bases()
+    return ConcretizationSession(repo=micro_repo, share_ground_cache=False)
+
+
+def test_from_value_accepts_config_names_dicts_and_presets():
+    tweety = SolverPreset.from_value("tweety")
+    assert tweety == SolverPreset.from_config(SolverConfig.preset("tweety"))
+    assert SolverPreset.from_value(tweety) is tweety
+    assert SolverPreset.from_value(SolverConfig.preset("tweety")) == tweety
+    knobs = SolverPreset.from_value({"heuristic": "fixed", "restart_base": 7})
+    assert (knobs.heuristic, knobs.restart_base) == ("fixed", 7)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        "no-such-preset",
+        {"heuristic": "astrology"},
+        {"unknown_knob": 1},
+        {"restart_base": 0},
+        {"var_decay": 2.0},
+        42.5,
+        "vsids-luby",  # a name of the removed racing lineup
+    ],
+)
+def test_from_value_rejects_invalid(bad):
+    with pytest.raises(ValueError):
+        SolverPreset.from_value(bad)
+
+
+@pytest.mark.parametrize("preset", REQUEST_PRESETS, ids=["name", "dict", "preset"])
+def test_request_presets_give_identical_specs_and_costs(micro_repo, preset):
+    """Extracted answers are preset-invariant (the criteria pin a unique
+    optimum), which is what lets presets share one solve cache."""
+    specs = ["example", "example+bzip", "example@1.0.0", "minitool"]
+    baseline = [signature(r) for r in fresh_session(micro_repo).solve(specs)]
+    pinned = fresh_session(micro_repo)
+    assert [signature(r) for r in pinned.solve(specs, preset=preset)] == baseline
+    assert pinned.stats.solve_cache_misses == len(specs)  # really solved
+
+
+@pytest.mark.parametrize("preset", REQUEST_PRESETS, ids=["name", "dict", "preset"])
+def test_request_presets_give_identical_unsat_cores(micro_repo, preset):
+    def core(session, **kwargs):
+        with pytest.raises(UnsatisfiableSpecError) as excinfo:
+            session.concretize("example%intel", **kwargs)
+        return excinfo.value.core()
+
+    baseline = core(fresh_session(micro_repo))
+    assert baseline  # the conflict is explained, not just reported
+    assert core(fresh_session(micro_repo), preset=preset) == baseline
+
+
+def test_invalid_request_preset_rejected(micro_repo):
+    session = fresh_session(micro_repo)
+    with pytest.raises(ValueError):
+        session.solve(["example"], preset="astrology")
+    with pytest.raises(ValueError):
+        session.concretize("example", preset={"heuristic": "astrology"})

@@ -7,26 +7,30 @@ naive tuple-at-a-time grounder accepts, both engines must derive the same
 certain facts, the same possible-atom universe, the same rule/choice/
 constraint counts — and therefore the same concretization results.
 
-Three layers of oracle:
+The naive grounder lives with the tests (``tests/asp/naive.py``); the
+oracle runs substitute it for ``repro.asp.control.Grounder``, so the very
+same :class:`PreparedProgram` and session code drive both engines.  Two
+layers of oracle:
 
 * raw ASP programs chosen to stress join-planner corner cases (negation,
   comparisons binding late, arithmetic, conditionals, recursion through
   choices);
 * full concretization sessions (monolithic and sharded catalogs), compared
-  element-wise cold and warm;
-* persistent-cache round-trips, where the two strategies must never share a
-  cached base (a naive session replaying an indexed pickle or vice versa
-  would be a silent lie).
+  element-wise cold and, for the indexed grounder, warm from disk.
 """
 
 from __future__ import annotations
 
+import contextlib
+
 import pytest
 
-from repro.asp.control import PreparedProgram, grounder_class
-from repro.spack.concretize import ConcretizationSession
+from repro.asp.control import PreparedProgram
+from repro.asp.grounder import Grounder
+from repro.spack.concretize import ConcretizationSession, SessionConfig
 from repro.spack.concretize.session import clear_shared_bases
 
+from tests.asp.naive import NaiveGrounder, substituted
 from tests.concretize.test_sharded_repo import micro_flat, micro_sharded
 
 BATCH = [
@@ -82,10 +86,27 @@ TRICKY_PROGRAMS = (
 )
 
 
+GROUNDERS = {"indexed": Grounder, "naive": NaiveGrounder}
+
+
+def with_grounder(strategy: str):
+    """A context in which ``PreparedProgram`` grounds with ``strategy``:
+    ``"indexed"`` (the production grounder) or ``"naive"`` (the oracle)."""
+    if strategy == "naive":
+        return substituted()
+    return contextlib.nullcontext()
+
+
+def assert_grounded_by(prepared: PreparedProgram, strategy: str) -> None:
+    assert type(prepared._base) is GROUNDERS[strategy]
+
+
 def ground_signature(text: str, strategy: str):
     """Everything observable about a grounding, as strategy-independent
     strings."""
-    prepared = PreparedProgram(text, join_strategy=strategy)
+    with with_grounder(strategy):
+        prepared = PreparedProgram(text)
+    assert_grounded_by(prepared, strategy)
     program = prepared._base.ground()
     return {
         "certain": sorted(program.format_atom(atom) for atom in program.facts),
@@ -100,16 +121,21 @@ def ground_signature(text: str, strategy: str):
 
 
 def solve_signature(text: str, strategy: str):
-    result = PreparedProgram(text, join_strategy=strategy).fork().solve()
+    with with_grounder(strategy):
+        result = PreparedProgram(text).fork().solve()
     if result.model is None:
         return None
     return sorted(map(str, result.model.atoms()))
 
 
-def session_signatures(repo, batch, **kwargs):
+def session_signatures(repo, batch, strategy="indexed", cache_dir=None):
     clear_shared_bases()
-    session = ConcretizationSession(repo=repo, share_ground_cache=False, **kwargs)
-    results = session.solve(batch)
+    config = SessionConfig(share_ground_cache=False, cache_dir=cache_dir)
+    with with_grounder(strategy):
+        session = ConcretizationSession(repo=repo, session_config=config)
+        results = session.solve(batch)
+    if cache_dir is None:  # a warm run attaches its base instead
+        assert_grounded_by(session._last_base.prepared, strategy)
     return [
         (
             str(r.spec),
@@ -141,19 +167,13 @@ def test_delta_grounding_identical():
     base = "p(1). p(2). r(X) :- p(X), extra(X)."
     signatures = {}
     for strategy in ("indexed", "naive"):
-        prepared = PreparedProgram(base, join_strategy=strategy)
-        control = prepared.fork(extra_facts=[("extra", 2)])
-        result = control.solve()
+        with with_grounder(strategy):
+            prepared = PreparedProgram(base)
+            control = prepared.fork(extra_facts=[("extra", 2)])
+            result = control.solve()
         signatures[strategy] = sorted(map(str, result.model.atoms()))
     assert signatures["indexed"] == signatures["naive"]
     assert "('r', 2)" in signatures["indexed"]
-
-
-def test_unknown_strategy_rejected_eagerly():
-    with pytest.raises(ValueError, match="join strategy"):
-        grounder_class("columnar")
-    with pytest.raises(ValueError, match="join strategy"):
-        ConcretizationSession(repo=micro_flat(), join_strategy="columnar")
 
 
 # ---------------------------------------------------------------------------
@@ -163,61 +183,25 @@ def test_unknown_strategy_rejected_eagerly():
 
 def test_sessions_identical_monolithic():
     repo = micro_flat()
-    indexed = session_signatures(repo, BATCH, join_strategy="indexed")
-    naive = session_signatures(micro_flat(), BATCH, join_strategy="naive")
+    indexed = session_signatures(repo, BATCH, "indexed")
+    naive = session_signatures(micro_flat(), BATCH, "naive")
     assert indexed == naive
 
 
 def test_sessions_identical_sharded():
-    indexed = session_signatures(micro_sharded(), BATCH, join_strategy="indexed")
-    naive = session_signatures(micro_sharded(), BATCH, join_strategy="naive")
+    indexed = session_signatures(micro_sharded(), BATCH, "indexed")
+    naive = session_signatures(micro_sharded(), BATCH, "naive")
     assert indexed == naive
     # and sharded == monolithic under the indexed grounder
-    assert indexed == session_signatures(micro_flat(), BATCH, join_strategy="indexed")
+    assert indexed == session_signatures(micro_flat(), BATCH, "indexed")
 
 
 def test_warm_replay_identical_across_strategies(tmp_path):
-    """Cold solve, then a fresh session over the warm disk cache, for both
-    strategies: all four runs element-wise identical."""
-    runs = {}
-    for strategy in ("indexed", "naive"):
-        cache_dir = tmp_path / strategy
-        cold = session_signatures(
-            micro_flat(), BATCH, join_strategy=strategy, cache_dir=str(cache_dir)
-        )
-        warm = session_signatures(
-            micro_flat(), BATCH, join_strategy=strategy, cache_dir=str(cache_dir)
-        )
-        runs[strategy] = (cold, warm)
-        assert cold == warm
-    assert runs["indexed"][0] == runs["naive"][0]
-
-
-def test_strategies_never_share_a_cached_base(tmp_path):
-    """A naive session over a ground cache warmed by an indexed session must
-    not replay the indexed grounder's pickled base (the cache key embeds the
-    strategy), while a second indexed session does replay it from disk.
-    Specs differ per run so the strategy-independent *solve* cache (shared
-    by design — results are identical) cannot short-circuit grounding."""
-    cache_dir = str(tmp_path / "shared")
-
-    def run(strategy, specs):
-        clear_shared_bases()
-        session = ConcretizationSession(
-            repo=micro_flat(),
-            share_ground_cache=False,
-            cache_dir=cache_dir,
-            join_strategy=strategy,
-        )
-        session.solve(specs)
-        return session.statistics()
-
-    cold = run("indexed", BATCH[:1])
-    assert (cold["base_groundings"], cold["base_disk_hits"]) == (1, 0)
-
-    replay = run("indexed", BATCH[1:2])
-    assert (replay["base_groundings"], replay["base_disk_hits"]) == (0, 1)
-
-    crossed = run("naive", BATCH[2:3])
-    assert crossed["join_strategy"] == "naive"
-    assert (crossed["base_groundings"], crossed["base_disk_hits"]) == (1, 0)
+    """Cold solve, then a fresh session over the warm disk cache (solve
+    cache and ground snapshot), with the indexed grounder: both runs are
+    element-wise identical to a cold solve with the naive oracle."""
+    cache_dir = str(tmp_path / "cache")
+    cold = session_signatures(micro_flat(), BATCH, cache_dir=cache_dir)
+    warm = session_signatures(micro_flat(), BATCH, cache_dir=cache_dir)
+    assert cold == warm
+    assert cold == session_signatures(micro_flat(), BATCH, "naive")

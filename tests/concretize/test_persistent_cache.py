@@ -1,10 +1,11 @@
 """Persistent on-disk caches: warm starts, corruption, invalidation.
 
-The contract under test (ISSUE 2 tentpole, act 2): with ``cache_dir`` set,
-solved results and grounded bases persist across sessions *and processes*,
-warm starts replay with zero groundings and zero solver calls, and every
-failure mode — corrupted files, version skew, stale store state, concurrent
-writers — degrades to a cold solve: never a crash, never a stale result.
+The contract under test: with ``cache_dir`` set, solved results (JSON) and
+grounded bases (flat ground snapshots) persist across sessions *and
+processes*, warm starts replay with zero groundings and zero solver calls,
+and every failure mode — corrupted files, version skew, stale store state,
+concurrent writers — degrades to a cold solve: never a crash, never a stale
+result.
 """
 
 from __future__ import annotations
@@ -13,20 +14,21 @@ import glob
 import json
 import os
 import pathlib
-import pickle
 import subprocess
 import sys
 import threading
 
 import pytest
 
+from repro.asp.control import PreparedProgram
+from repro.spack import store as store_module
 from repro.spack.concretize import ConcretizationSession
 from repro.spack.concretize.session import clear_shared_bases
 from repro.spack.store import (
     CACHE_FORMAT_VERSION,
     Database,
-    PersistentGroundCache,
     PersistentSolveCache,
+    SnapshotStore,
     SolveCache,
 )
 
@@ -57,10 +59,6 @@ def solve_files(cache_dir):
     return sorted(glob.glob(os.path.join(str(cache_dir), "solve", "*.json")))
 
 
-def ground_files(cache_dir):
-    return sorted(glob.glob(os.path.join(str(cache_dir), "ground", "*.pkl")))
-
-
 def snapshot_files(cache_dir):
     return sorted(glob.glob(os.path.join(str(cache_dir), "snapshot", "*.snap")))
 
@@ -74,7 +72,7 @@ def test_second_session_replays_from_disk(micro_repo, tmp_path):
     one = fresh_session(micro_repo, tmp_path)
     first = [signature(r) for r in one.solve(BATCH)]
     assert len(solve_files(tmp_path)) == 3  # distinct specs only
-    assert len(ground_files(tmp_path)) == 1  # one family base
+    assert len(snapshot_files(tmp_path)) == 1  # one family base
 
     two = fresh_session(micro_repo, tmp_path)
     second = [signature(r) for r in two.solve(BATCH)]
@@ -124,14 +122,16 @@ def test_ground_cache_warms_base_for_new_specs(micro_repo, tmp_path):
     one = fresh_session(micro_repo, tmp_path)
     one.solve(["example"])
 
-    # cold solve cache (override), warm ground cache: the base comes from
-    # disk and only the delta is ground + solved
+    # cold solve cache (override), warm ground snapshot: the base comes
+    # from disk and only the delta is ground + solved
     two = fresh_session(micro_repo, tmp_path, solve_cache=SolveCache())
     result = two.solve(["example~bzip"])[0]
     assert result.spec.concrete
     assert two.stats.base_groundings == 0
     assert two.stats.base_disk_hits == 1
+    assert two.stats.snapshot_attaches == 1
     assert two.stats.delta_groundings == 1
+    assert two.snapshot_store.writes == 0  # already on disk: no rewrite
 
 
 def test_memo_hit_bases_are_still_written_to_disk(micro_repo, tmp_path):
@@ -145,11 +145,12 @@ def test_memo_hit_bases_are_still_written_to_disk(micro_repo, tmp_path):
     session = ConcretizationSession(repo=micro_repo, cache_dir=str(tmp_path))
     session.solve(["example~bzip"])
     assert session.stats.base_groundings == 0  # reused the memoized base
-    assert len(ground_files(tmp_path)) == 1  # ...but persisted it anyway
-    assert session.ground_cache.writes == 1
+    assert len(snapshot_files(tmp_path)) == 1  # ...but persisted it anyway
+    assert session.snapshot_store.writes == 1
+    assert session.stats.snapshot_writes == 1
     # and a repeat solve does not re-probe or re-write
     session.solve(["example@1.0.0"])
-    assert session.ground_cache.writes == 1
+    assert session.snapshot_store.writes == 1
 
 
 def test_disk_replayed_results_are_fully_usable(micro_repo, tmp_path):
@@ -223,20 +224,16 @@ def test_version_mismatch_is_a_miss_not_an_error(micro_repo, tmp_path):
 def test_corrupted_ground_entry_degrades_to_fresh_grounding(micro_repo, tmp_path):
     one = fresh_session(micro_repo, tmp_path)
     expected = signature(one.solve(["example"])[0])
-    # damage both on-disk forms of the grounded base: the flat snapshot
-    # (preferred on load) and the pickled fallback
-    for path in ground_files(tmp_path) + snapshot_files(tmp_path):
-        with open(path, "wb") as handle:
-            handle.write(b"not a pickle")
+    (path,) = snapshot_files(tmp_path)
+    with open(path, "wb") as handle:
+        handle.write(b"not a snapshot")
 
     two = fresh_session(micro_repo, tmp_path, solve_cache=SolveCache())
     assert signature(two.solve(["example"])[0]) == expected
     assert two.stats.base_groundings == 1  # cold grounding
     assert two.stats.base_disk_hits == 0
-    assert two.ground_cache.load_errors == 1
-    assert two.ground_cache.writes == 1  # the damaged entry was overwritten
     assert two.snapshot_store.load_errors == 1
-    assert two.snapshot_store.writes == 1
+    assert two.snapshot_store.writes == 1  # the damaged entry was overwritten
     # the cache self-healed: the next cold session loads the base from disk
     three = fresh_session(micro_repo, tmp_path, solve_cache=SolveCache())
     three.solve(["example"])
@@ -244,15 +241,21 @@ def test_corrupted_ground_entry_degrades_to_fresh_grounding(micro_repo, tmp_path
     assert three.stats.base_groundings == 0
 
 
-def test_ground_cache_version_mismatch_is_a_miss(tmp_path):
-    cache = PersistentGroundCache(str(tmp_path))
-    cache.put("key", {"some": "payload"})
-    (path,) = ground_files(tmp_path)
-    payload = pickle.load(open(path, "rb"))
-    payload["version"] = CACHE_FORMAT_VERSION + 1
-    pickle.dump(payload, open(path, "wb"))
-    assert cache.get("key") is None
-    assert cache.load_errors == 0
+def test_ground_cache_version_mismatch_is_a_miss(tmp_path, monkeypatch):
+    store = SnapshotStore(str(tmp_path))
+    assert store.put("key", PreparedProgram("p(1)."))
+    old_path = store.path_for("key")
+
+    monkeypatch.setattr(store_module, "CACHE_FORMAT_VERSION", CACHE_FORMAT_VERSION + 1)
+    assert store.path_for("key") != old_path  # the version is in the name
+    assert store.load("key") is None
+    # even an old file sitting at the new name carries the old version in
+    # its key, so it is a miss as well, not a load error
+    os.replace(old_path, store.path_for("key"))
+    assert store.load("key") is None
+    assert not store.has_valid("key")
+    assert store.load_errors == 0
+    assert store.misses == 2
 
 
 def test_unwritable_cache_dir_never_fails_the_solve(micro_repo, tmp_path):
@@ -262,12 +265,14 @@ def test_unwritable_cache_dir_never_fails_the_solve(micro_repo, tmp_path):
     # write fails (works even when the suite runs as root, where permission
     # bits would not)
     (target / "solve").write_text("in the way")
-    (target / "ground").write_text("in the way")
+    (target / "snapshot").write_text("in the way")
     session = fresh_session(micro_repo, target)
     result = session.solve(["example"])[0]
     assert result.spec.concrete
+    assert session.stats.base_groundings == 1  # a cold ground, and no error
     assert session.solve_cache.write_errors >= 1
-    assert session.ground_cache.write_errors >= 1
+    assert session.snapshot_store.write_errors >= 1
+    assert session.stats.snapshot_writes == 0
 
 
 # ---------------------------------------------------------------------------
@@ -382,10 +387,11 @@ def test_concurrent_writers_to_one_key_never_corrupt(micro_repo, tmp_path):
 
 
 def test_persistence_can_be_disabled(micro_repo, tmp_path):
-    session = fresh_session(micro_repo, tmp_path, persist_ground=False)
+    clear_shared_bases()
+    session = ConcretizationSession(repo=micro_repo)  # no cache_dir
     session.solve(["example"])
-    assert ground_files(tmp_path) == []  # no base pickles
-    assert len(solve_files(tmp_path)) == 1  # results still persist
+    assert session.snapshot_store is None
+    assert "snapshot_store" not in session.statistics()
 
     cache = PersistentSolveCache(str(tmp_path / "off"), persist=False)
     cache.put(("k",), object())
@@ -397,66 +403,83 @@ def test_persistence_can_be_disabled(micro_repo, tmp_path):
 # ---------------------------------------------------------------------------
 
 
-def _entry_path(cache, key):
-    from repro.spack.store import cache_key_token
+def tiny_base(index):
+    """A grounded program small enough to snapshot many times per test."""
+    return PreparedProgram(f"p({index}).")
 
-    return cache._disk.path_for(cache_key_token(key))
+
+def stored_facts(store, key):
+    """The facts of the snapshot stored under ``key``, or None on a miss."""
+    snapshot = store.load(key)
+    if snapshot is None:
+        return None
+    try:
+        program = snapshot.materialize().base_ground_program
+    finally:
+        snapshot.close()
+    return sorted(program.format_atom(atom) for atom in program.facts)
 
 
 def test_ground_cache_prunes_oldest_beyond_max_entries(tmp_path):
-    cache = PersistentGroundCache(str(tmp_path), max_entries=3)
+    store = SnapshotStore(str(tmp_path), max_entries=3)
     for index in range(3):
-        cache.put(("k", index), {"i": index})
+        store.put(("k", index), tiny_base(index))
     for index, stamp in enumerate((1000, 2000, 3000)):
-        os.utime(_entry_path(cache, ("k", index)), (stamp, stamp))
+        os.utime(store.path_for(("k", index)), (stamp, stamp))
 
-    cache.put(("k", 3), {"i": 3})  # one over budget: the oldest entry goes
-    assert cache.evictions == 1
-    assert cache.statistics()["evictions"] == 1
-    assert cache.get(("k", 0)) is None
-    assert all(cache.get(("k", index)) == {"i": index} for index in (1, 2, 3))
+    store.put(("k", 3), tiny_base(3))  # one over budget: the oldest entry goes
+    assert store.evictions == 1
+    assert store.statistics()["evictions"] == 1
+    assert stored_facts(store, ("k", 0)) is None
+    assert all(
+        stored_facts(store, ("k", index)) == [f"p({index})"] for index in (1, 2, 3)
+    )
 
 
 def test_prune_never_evicts_the_entry_just_written(tmp_path):
-    cache = PersistentGroundCache(str(tmp_path), max_entries=1, max_bytes=1)
-    cache.put(("first",), {"payload": "x" * 256})
-    cache.put(("second",), {"payload": "y" * 256})
+    store = SnapshotStore(str(tmp_path), max_entries=1, max_bytes=1)
+    store.put(("first",), tiny_base(1))
+    store.put(("second",), tiny_base(2))
     # the fresh entry survives even though it alone exceeds max_bytes
-    assert cache.get(("second",)) == {"payload": "y" * 256}
-    assert cache.get(("first",)) is None
-    assert len(ground_files(tmp_path)) == 1
+    assert stored_facts(store, ("second",)) == ["p(2)"]
+    assert stored_facts(store, ("first",)) is None
+    assert len(snapshot_files(tmp_path)) == 1
 
 
 def test_ground_cache_prunes_to_byte_budget(tmp_path):
-    cache = PersistentGroundCache(str(tmp_path), max_bytes=2500)
+    probe = SnapshotStore(str(tmp_path / "probe"))
+    probe.put(("k", 0), tiny_base(0))
+    budget = int(os.path.getsize(probe.path_for(("k", 0))) * 2.5)
+
+    store = SnapshotStore(str(tmp_path), max_bytes=budget)
     for index in range(4):
-        cache.put(("k", index), {"payload": "x" * 1000})
-        os.utime(_entry_path(cache, ("k", index)), (1000 + index, 1000 + index))
-    files = ground_files(tmp_path)
+        store.put(("k", index), tiny_base(index))
+        os.utime(store.path_for(("k", index)), (1000 + index, 1000 + index))
+    files = snapshot_files(tmp_path)
     assert len(files) < 4
-    assert sum(os.path.getsize(f) for f in files) <= 2500
-    assert cache.get(("k", 3)) is not None  # newest always survives
+    assert sum(os.path.getsize(f) for f in files) <= budget
+    assert stored_facts(store, ("k", 3)) is not None  # newest always survives
 
 
 def test_reads_refresh_lru_recency(tmp_path):
-    cache = PersistentGroundCache(str(tmp_path), max_entries=2)
-    cache.put(("hot",), {"v": 1})
-    cache.put(("cold",), {"v": 2})
-    os.utime(_entry_path(cache, ("hot",)), (1000, 1000))
-    os.utime(_entry_path(cache, ("cold",)), (2000, 2000))
+    store = SnapshotStore(str(tmp_path), max_entries=2)
+    store.put(("hot",), tiny_base(1))
+    store.put(("cold",), tiny_base(2))
+    os.utime(store.path_for(("hot",)), (1000, 1000))
+    os.utime(store.path_for(("cold",)), (2000, 2000))
 
-    assert cache.get(("hot",)) == {"v": 1}  # bumps its mtime to now
-    cache.put(("new",), {"v": 3})  # evicts 'cold', the true LRU
-    assert cache.get(("hot",)) is not None
-    assert cache.get(("cold",)) is None
-    assert cache.get(("new",)) is not None
+    assert stored_facts(store, ("hot",)) == ["p(1)"]  # bumps its mtime to now
+    store.put(("new",), tiny_base(3))  # evicts 'cold', the true LRU
+    assert stored_facts(store, ("hot",)) is not None
+    assert stored_facts(store, ("cold",)) is None
+    assert stored_facts(store, ("new",)) is not None
 
 
 def test_session_cache_budgets_bound_both_stores(micro_repo, tmp_path):
     session = fresh_session(micro_repo, tmp_path, cache_max_entries=1)
     first = [signature(r) for r in session.solve(BATCH)]
     assert len(solve_files(tmp_path)) == 1  # 3 distinct results written, 2 pruned
-    assert len(ground_files(tmp_path)) == 1
+    assert len(snapshot_files(tmp_path)) == 1
     assert session.solve_cache.statistics()["evictions"] == 2
 
     # the surviving entry is the most recently written result ("example@1.0.0",
@@ -468,18 +491,19 @@ def test_session_cache_budgets_bound_both_stores(micro_repo, tmp_path):
 
 
 def test_prune_reaps_stale_tmp_files_but_not_live_ones(tmp_path):
-    cache = PersistentGroundCache(str(tmp_path), max_entries=8)
-    cache.put(("a",), {"v": 1})
-    orphan = tmp_path / "ground" / "orphan.tmp"  # interrupted writer, long dead
+    store = SnapshotStore(str(tmp_path), max_entries=8)
+    store.put(("a",), tiny_base(1))
+    orphan = tmp_path / "snapshot" / "orphan.tmp"  # interrupted writer, long dead
     orphan.write_bytes(b"partial")
     os.utime(orphan, (1000, 1000))
-    live = tmp_path / "ground" / "live.tmp"  # a writer that may still be going
+    live = tmp_path / "snapshot" / "live.tmp"  # a writer that may still be going
     live.write_bytes(b"in flight")
 
-    cache.put(("b",), {"v": 2})  # any budgeted write prunes
+    store.put(("b",), tiny_base(2))  # any budgeted write prunes
     assert not orphan.exists()
     assert live.exists()
-    assert cache.get(("a",)) is not None and cache.get(("b",)) is not None
+    assert stored_facts(store, ("a",)) is not None
+    assert stored_facts(store, ("b",)) is not None
 
 
 # ---------------------------------------------------------------------------

@@ -77,10 +77,10 @@ def test_legacy_mapping_covers_every_field():
 def test_session_accepts_session_config(micro_repo):
     session = make_session(
         micro_repo,
-        session_config=SessionConfig(workers=2, join_strategy="naive", profile=True),
+        session_config=SessionConfig(workers=2, profile=True),
     )
     assert session.workers == 2
-    assert session.join_strategy == "naive"
+    assert session.profile is True
     assert session.session_config.profile is True
 
 
@@ -92,18 +92,56 @@ def test_legacy_kwargs_warn_and_apply(micro_repo):
 
 
 def test_legacy_kwargs_override_session_config(micro_repo):
-    with pytest.warns(DeprecationWarning, match="join_strategy"):
+    with pytest.warns(DeprecationWarning, match="profile"):
         session = make_session(
             micro_repo,
-            session_config=SessionConfig(join_strategy="indexed"),
-            join_strategy="naive",
+            session_config=SessionConfig(profile=False),
+            profile="rules",
         )
-    assert session.join_strategy == "naive"
+    assert session.profile == "rules"
 
 
 def test_unknown_kwarg_raises_type_error(micro_repo):
     with pytest.raises(TypeError, match="unexpected keyword argument 'warp_speed'"):
         make_session(micro_repo, warp_speed=9)
+
+
+#: knobs that selected the solver portfolio, the naive grounder, and the
+#: pickle ground cache; each must now fail where it is passed
+REMOVED_NAMES = {
+    "portfolio": True,
+    "join_strategy": "naive",
+    "persist_ground": False,
+    "snapshots": False,
+}
+
+
+@pytest.mark.parametrize("front_end", ["config", "session", "service"])
+@pytest.mark.parametrize("name", sorted(REMOVED_NAMES))
+def test_removed_names_rejected_at_construction(micro_repo, monkeypatch, name, front_end):
+    """A removed knob is a TypeError at construction, never a surprise in
+    the middle of a solve (nothing may reach the solver)."""
+
+    def no_solving(*args, **kwargs):
+        raise AssertionError("a removed knob reached the solver")
+
+    monkeypatch.setattr(ConcretizationSession, "_solve_uncached", no_solving)
+    value = REMOVED_NAMES[name]
+    assert name not in LEGACY_SESSION_KWARGS
+    with pytest.raises(TypeError, match=name):
+        if front_end == "config":
+            SessionConfig(**{name: value})
+        elif front_end == "session":
+            make_session(micro_repo, **{name: value})
+        else:
+            ConcretizationService(micro_repo, session_kwargs={name: value})
+
+
+def test_session_config_is_always_hashable():
+    assert len(dataclasses.fields(SessionConfig)) == 8
+    configs = [SessionConfig(), SessionConfig(workers="auto", cache_dir="/tmp/x")]
+    assert len({hash(config) for config in configs}) == 2
+    assert hash(SessionConfig()) == hash(SessionConfig())
 
 
 # ---------------------------------------------------------------------------
@@ -155,10 +193,10 @@ def test_parallel_session_workers_is_first_class(micro_repo):
     session = ParallelConcretizationSession(
         repo=micro_repo,
         workers=3,
-        session_config=SessionConfig(join_strategy="naive"),
+        session_config=SessionConfig(profile=True),
     )
     assert session.workers == 3
-    assert session.join_strategy == "naive"
+    assert session.profile is True
 
 
 def test_async_session_inherits_config_max_concurrency(micro_repo):

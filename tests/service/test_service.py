@@ -369,6 +369,11 @@ def test_http_concretize_and_errors(server):
     status, body, _ = http_json(f"{server.url}/v1/concretize", {"wrong": 1})
     assert status == 400
     assert body["error"]["code"] == "bad_request"
+    status, body, _ = http_json(
+        f"{server.url}/v1/concretize", {"spec": "example", "preset": "astrology"}
+    )
+    assert status == 400
+    assert body["error"]["code"] == "bad_request"
     status, body, _ = http_json(f"{server.url}/v1/nothing", {"spec": "example"})
     assert status == 404
     assert body["error"]["code"] == "not_found"
